@@ -282,9 +282,12 @@ def execute_run(cfg, out_dir=None, echo=print):
         summary.append(msg)
         _write_summary(os.path.join(out, "summary.txt"), summary)
         return 3, traj
-    summary.append("steps=%d newton_iters_total=%d"
-                   % (len(traj.states) - 1,
-                      sum(r.newton_iters for r in traj.reports[1:])))
+    reports = traj.reports[1:]
+    summary.append("steps=%d newton_iters_total=%d refactors_total=%d "
+                   "linsolves_total=%d"
+                   % (len(reports), sum(r.newton_iters for r in reports),
+                      sum(r.refactors for r in reports),
+                      sum(r.linsolves for r in reports)))
     summary.append("outside_theory=%s" % traj.outside_theory)
     _write_summary(os.path.join(out, "summary.txt"), summary)
     return 0, traj
@@ -340,6 +343,8 @@ def cmd_sweep(cfg, axis, ladder, workers=1, echo=print):
     else:
         results = [_run_member(job) for job in jobs]
 
+    # the sweep axes (h, eps, viscosities) never change the mesh
+    ops = diskfem.assemble(build_mesh(cfg))
     rows = []
     trajs = []
     any_failed = False
@@ -351,7 +356,6 @@ def cmd_sweep(cfg, axis, ladder, workers=1, echo=print):
                                 ("eps" if axis == "eps" else "tau")),
                "status": code}
         if traj is not None and traj.ok:
-            ops = diskfem.assemble(build_mesh(member))
             m0 = diskfem.mean_bulk(ops, traj.states[0].phi)
             row["mass_gap"] = abs(
                 diskfem.mean_bulk(ops, traj.states[-1].phi) - m0)
@@ -362,7 +366,6 @@ def cmd_sweep(cfg, axis, ladder, workers=1, echo=print):
                     traj, pair, build_params(member), ops).max_value()
         rows.append(row)
 
-    ops = diskfem.assemble(build_mesh(cfg))
     dists = []
     for i in range(len(trajs) - 1):
         a, b = trajs[i], trajs[i + 1]

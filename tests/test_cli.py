@@ -147,6 +147,21 @@ class TestCmdRun:
         assert (out / "run.csv").exists()
         assert (out / "checkpoints.txt").exists()
 
+    def test_summary_totals(self, tmp_path):
+        body = TINY + "ic = random(0.3, 5)\n"
+        cfg = cli.parse_config(write_config(tmp_path, body))
+        out = tmp_path / "out"
+        code, traj = cli.execute_run(cfg, out_dir=str(out),
+                                     echo=lambda *a: None)
+        assert code == 0
+        reports = traj.reports[1:]
+        want = ("steps=%d newton_iters_total=%d refactors_total=%d "
+                "linsolves_total=%d"
+                % (len(reports), sum(r.newton_iters for r in reports),
+                   sum(r.refactors for r in reports),
+                   sum(r.linsolves for r in reports)))
+        assert want in (out / "summary.txt").read_text().splitlines()
+
     def test_determinism(self, tmp_path):
         body = TINY + "ic = random(0.2, 11)\nsource_f = ramp(0.5)\n"
         cfg = cli.parse_config(write_config(tmp_path, body))

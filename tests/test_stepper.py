@@ -129,6 +129,21 @@ class TestValidate:
         rep = stepper.validate(data, params, tiny_ops)
         assert len(rep.violations) >= 2
 
+    @pytest.mark.parametrize("which", ("f", "g"))
+    @pytest.mark.parametrize("defect", ("nan", "inf", "short"))
+    def test_bad_array_source_fails(self, tiny_ops, which, defect):
+        size = (tiny_ops.mesh.n_bulk if which == "f"
+                else tiny_ops.mesh.n_bdry)
+        source = np.zeros(size)
+        if defect == "short":
+            source = source[:-1]
+        else:
+            source[1] = np.nan if defect == "nan" else np.inf
+        data, params = tiny_problem(tiny_ops, **{which: source})
+        rep = stepper.validate(data, params, tiny_ops)
+        assert not rep.ok
+        assert any("source %s" % which in v for v in rep.violations)
+
     def test_strong_mode_reports_ladder(self, tiny_ops):
         pair = graphs.preset_pair("regular")
         x = tiny_ops.mesh.vertices[:, 0]
@@ -171,6 +186,25 @@ class TestSolveStep:
         assert np.abs(new.phi - phi_o).max() < 1e-8
         assert np.abs(new.mu - mu_o).max() < 1e-8
         assert np.abs(new.w - w_o).max() < 1e-8
+
+    @pytest.mark.parametrize("kind", ("regular", "log", "obstacle"))
+    def test_reused_lu_matches_oracle_every_step(self, tiny_ops, kind):
+        # one workspace over several steps, so later steps start from an
+        # LU factorized at an earlier iterate or an earlier step
+        data, params = tiny_problem(tiny_ops, kind, amp=0.3, t_final=6e-3)
+        traj = stepper.run(data, params, tiny_ops)
+        assert traj.ok
+        reports = traj.reports[1:]
+        assert sum(r.refactors for r in reports) < sum(
+            r.linsolves - 2 for r in reports)
+        fn = np.zeros(tiny_ops.mesh.n_bulk)
+        gn = np.zeros(tiny_ops.mesh.n_bdry)
+        for prev, new in zip(traj.states, traj.states[1:]):
+            phi_o, mu_o, w_o = reference.fixed_point_step(
+                prev, data, params, tiny_ops, fn, gn)
+            assert np.abs(new.phi - phi_o).max() < 1e-8
+            assert np.abs(new.mu - mu_o).max() < 1e-8
+            assert np.abs(new.w - w_o).max() < 1e-8
 
     def test_augmented_means_conserved(self, tiny_ops):
         x = tiny_ops.mesh.vertices[:, 0]
@@ -255,6 +289,49 @@ class TestRun:
         assert traj.failed_step == 0
         assert len(traj.states) == 1
         assert isinstance(traj.failure, NewtonFailure)
+
+    @pytest.mark.parametrize("which", ("f", "g"))
+    def test_nan_source_fails_run(self, tiny_ops, which):
+        size = (tiny_ops.mesh.n_bulk if which == "f"
+                else tiny_ops.mesh.n_bdry)
+        source = np.zeros(size)
+        source[0] = np.nan
+        data, params = tiny_problem(tiny_ops, t_final=2e-3,
+                                    **{which: source})
+        traj = stepper.run(data, params, tiny_ops)
+        assert not traj.ok
+        assert isinstance(traj.failure, NewtonFailure)
+        assert traj.failed_step == 0
+
+    def test_refactors_count_every_factorization(self, tiny_ops,
+                                                 monkeypatch):
+        real = stepper.splu
+        calls = []
+
+        class SolveOnly:
+            def __init__(self, lu):
+                self.solve = lu.solve
+
+        def counting_splu(A):
+            calls.append(A.shape)
+            return SolveOnly(real(A))
+
+        monkeypatch.setattr(stepper, "splu", counting_splu)
+        data, params = tiny_problem(tiny_ops, "log", amp=0.3, t_final=8e-3)
+        traj = stepper.run(data, params, tiny_ops)
+        assert traj.ok
+        assert len(calls) == sum(r.refactors for r in traj.reports[1:])
+        assert len(calls) >= 1
+
+    def test_obstacle_interior_run_factorizes_once(self, tiny_ops):
+        # strictly inside (-1, 1) the obstacle's Yosida derivative is 0,
+        # so the Jacobian is constant and its first LU contracts forever
+        data, params = tiny_problem(tiny_ops, "obstacle", amp=0.3,
+                                    t_final=8e-3)
+        traj = stepper.run(data, params, tiny_ops)
+        assert traj.ok
+        assert all(np.abs(s.phi).max() < 1.0 for s in traj.states)
+        assert sum(r.refactors for r in traj.reports[1:]) == 1
 
     def test_zero_viscosity_marked_outside_theory(self, tiny_ops):
         data, params = tiny_problem(tiny_ops, tau=0.0, sigma=0.0,
