@@ -231,14 +231,18 @@ def _write_summary(path, lines):
 
 def execute_run(cfg, out_dir=None, echo=print):
     """Validate, run and write outputs; returns (exit_code, trajectory)."""
-    out = out_dir or cfg.out_dir
-    os.makedirs(out, exist_ok=True)
     try:
         mesh = build_mesh(cfg)
     except ParseError as exc:
         echo("mesh error: %s" % exc)
         return 2, None
-    ops = diskfem.assemble(mesh)
+    return execute_on(cfg, diskfem.assemble(mesh), out_dir or cfg.out_dir,
+                      echo)
+
+
+def execute_on(cfg, ops, out, echo=print):
+    """:func:`execute_run` on operators already assembled from ``cfg``."""
+    os.makedirs(out, exist_ok=True)
     params = build_params(cfg)
     data = build_problem(cfg, ops)
     report = stepper.validate(data, params, ops, strong=cfg.strong_checks)
@@ -313,12 +317,6 @@ def _sweep_member_configs(cfg, axis, ladder):
     return members
 
 
-def _run_member(args):
-    cfg, out = args
-    code, traj = execute_run(cfg, out_dir=out, echo=lambda *_: None)
-    return code, traj
-
-
 def cmd_sweep(cfg, axis, ladder, workers=1, echo=print):
     """Run a decreasing ladder along one axis and emit a convergence table."""
     ladder = list(ladder)
@@ -331,20 +329,25 @@ def cmd_sweep(cfg, axis, ladder, workers=1, echo=print):
                 echo("h ladder members must nest (integer ratios)")
                 return 2
     members = _sweep_member_configs(cfg, axis, ladder)
+    # the sweep axes (h, eps, viscosities) never change the mesh, so all
+    # members and the post-processing share one set of operators
+    ops = diskfem.assemble(build_mesh(cfg))
     out_root = cfg.out_dir
     os.makedirs(out_root, exist_ok=True)
     jobs = [(m, os.path.join(out_root, "member_%02d" % i))
             for i, m in enumerate(members)]
-    results = []
+
+    def run_member(job):
+        member, out = job
+        return execute_on(member, ops, out, echo=lambda *_: None)
+
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_member, jobs))
+            results = list(pool.map(run_member, jobs))
     else:
-        results = [_run_member(job) for job in jobs]
+        results = [run_member(job) for job in jobs]
 
-    # the sweep axes (h, eps, viscosities) never change the mesh
-    ops = diskfem.assemble(build_mesh(cfg))
     rows = []
     trajs = []
     any_failed = False
@@ -492,20 +495,18 @@ def _selftest_diskfem(mesh_file=None):
     except ChbsError as exc:
         return False, "mesh: %s" % exc
     ops = diskfem.assemble(mesh)
-    one = np.ones(mesh.n_bulk)
-    if float(np.abs(ops.K_bulk @ one).max()) > 1e-12:
-        return False, "bulk stiffness kernel broken"
-    if float(np.abs(ops.K_bdry @ np.ones(mesh.n_bdry)).max()) > 1e-12:
-        return False, "boundary stiffness kernel broken"
     rng = np.random.default_rng(3)
-    v = rng.standard_normal(mesh.n_bulk)
-    v -= diskfem.mean_bulk(ops, v)
-    w = rng.standard_normal(mesh.n_bulk)
-    w -= diskfem.mean_bulk(ops, w)
-    lhs = float(w @ (ops.M_bulk @ diskfem.green_bulk(ops, v)))
-    rhs = float(v @ (ops.M_bulk @ diskfem.green_bulk(ops, w)))
-    if abs(lhs - rhs) > 1e-10 * max(abs(lhs), 1e-6):
-        return False, "green adjoint identity broken"
+    for part in (ops.bulk, ops.bdry):
+        if float(np.abs(part.K @ np.ones(part.K.shape[0])).max()) > 1e-12:
+            return False, "%s stiffness kernel broken" % part.name
+        v = rng.standard_normal(part.K.shape[0])
+        v -= diskfem.mean(part, v)
+        w = rng.standard_normal(part.K.shape[0])
+        w -= diskfem.mean(part, w)
+        lhs = float(w @ (part.M @ diskfem.green(part, v)))
+        rhs = float(v @ (part.M @ diskfem.green(part, w)))
+        if abs(lhs - rhs) > 1e-10 * max(abs(lhs), 1e-6):
+            return False, "%s green adjoint identity broken" % part.name
     return True, "kernel, adjoint, topology"
 
 

@@ -17,16 +17,6 @@ CSV_HEADER = ("n,t,energy_true,energy_eps,lyapunov,mass_bulk_aug,"
               "mass_bdry_aug,phi_h1,psi_h1,newton_iters")
 
 
-def _potential_nodal(graph, pi, r, mode, eps_eff=None):
-    if mode == "true":
-        conv = graph.primitive(r)
-    elif mode == "regularized":
-        conv = graphs.moreau_envelope(graph, eps_eff, r)
-    else:
-        raise ValueError("mode must be 'true' or 'regularized'")
-    return conv + pi.primitive(r)
-
-
 def energy(state, pair, ops, mode="true", eps=None):
     """Total free energy of one state.
 
@@ -37,15 +27,25 @@ def energy(state, pair, ops, mode="true", eps=None):
     """
     if mode == "regularized" and eps is None:
         raise ValueError("regularized energy needs eps")
-    wb = _potential_nodal(pair.bulk, pair.bulk_pi, state.phi, mode,
-                          None if eps is None else eps)
-    wg = _potential_nodal(pair.boundary, pair.boundary_pi, state.psi, mode,
-                          None if eps is None else eps * pair.rho)
-    grad_b = 0.5 * float(state.phi @ (ops.K_bulk @ state.phi))
-    grad_g = 0.5 * float(state.psi @ (ops.K_bdry @ state.psi))
-    pot_b = float(ops.lumped_bulk @ wb)
-    pot_g = float(ops.lumped_bdry @ wg)
-    return grad_b + grad_g + pot_b + pot_g
+    if mode not in ("true", "regularized"):
+        raise ValueError("mode must be 'true' or 'regularized'")
+    grad, pot = [], []
+    for part, v, graph, pi, eps_eff in (
+            (ops.bulk, state.phi, pair.bulk, pair.bulk_pi, eps),
+            (ops.bdry, state.psi, pair.boundary, pair.boundary_pi,
+             None if eps is None else eps * pair.rho)):
+        conv = (graph.primitive(v) if mode == "true"
+                else graphs.moreau_envelope(graph, eps_eff, v))
+        grad.append(0.5 * float(v @ (part.K @ v)))
+        pot.append(float(part.lumped @ (conv + pi.primitive(v))))
+    # this summation order keeps the printed energies bit-stable
+    return grad[0] + grad[1] + pot[0] + pot[1]
+
+
+def _lyapunov(e_eps, state, h, ops):
+    mu2 = float(state.mu @ (ops.M_bulk @ state.mu))
+    w2 = float(state.w @ (ops.M_bdry @ state.w))
+    return e_eps + 0.5 * h * mu2 + 0.5 * h * w2
 
 
 def lyapunov(state, pair, eps, h, ops):
@@ -54,10 +54,8 @@ def lyapunov(state, pair, eps, h, ops):
     This is the quantity the scheme dissipates for source-free runs when
     the step-size guard holds.
     """
-    e = energy(state, pair, ops, mode="regularized", eps=eps)
-    mu2 = float(state.mu @ (ops.M_bulk @ state.mu))
-    w2 = float(state.w @ (ops.M_bdry @ state.w))
-    return e + 0.5 * h * mu2 + 0.5 * h * w2
+    return _lyapunov(energy(state, pair, ops, mode="regularized", eps=eps),
+                     state, h, ops)
 
 
 @dataclass
@@ -73,37 +71,22 @@ class DiagRecord:
     mass_bdry_aug: float
     phi_h1: float
     psi_h1: float
-    mu_l2: float
-    w_l2: float
-    env_bulk: float
-    env_bdry: float
     newton_iters: int
 
 
 def make_record(state, report, pair, params, ops):
     """Build the diagnostics row for one state."""
-    e_true = energy(state, pair, ops, mode="true")
     e_eps = energy(state, pair, ops, mode="regularized", eps=params.eps)
-    lyap = lyapunov(state, pair, params.eps, params.h, ops)
-    env_b = float(ops.lumped_bulk
-                  @ graphs.moreau_envelope(pair.bulk, params.eps, state.phi))
-    env_g = float(ops.lumped_bdry
-                  @ graphs.moreau_envelope(pair.boundary,
-                                           params.eps * pair.rho, state.psi))
     return DiagRecord(
         n=state.n,
         t=state.t,
-        energy_true=e_true,
+        energy_true=energy(state, pair, ops, mode="true"),
         energy_eps=e_eps,
-        lyapunov=lyap,
+        lyapunov=_lyapunov(e_eps, state, params.h, ops),
         mass_bulk_aug=diskfem.mean_bulk(ops, state.phi + params.h * state.mu),
         mass_bdry_aug=diskfem.mean_bdry(ops, state.psi + params.h * state.w),
         phi_h1=diskfem.norms_bulk(ops, state.phi)["h1"],
         psi_h1=diskfem.norms_bdry(ops, state.psi)["h1"],
-        mu_l2=diskfem.norms_bulk(ops, state.mu)["l2"],
-        w_l2=diskfem.norms_bdry(ops, state.w)["l2"],
-        env_bulk=env_b,
-        env_bdry=env_g,
         newton_iters=0 if report is None else report.newton_iters,
     )
 
@@ -170,9 +153,9 @@ def apriori_monitor(traj, pair, params, ops):
         sup_psi = max(sup_psi, diskfem.norms_bdry(ops, s.psi)["h1"] ** 2)
         sup_mu = max(sup_mu, float(s.mu @ (ops.M_bulk @ s.mu)))
         sup_w = max(sup_w, float(s.w @ (ops.M_bdry @ s.w)))
-        env_b = float(ops.lumped_bulk
+        env_b = float(ops.bulk.lumped
                       @ graphs.moreau_envelope(pair.bulk, params.eps, s.phi))
-        env_g = float(ops.lumped_bdry
+        env_g = float(ops.bdry.lumped
                       @ graphs.moreau_envelope(pair.boundary,
                                                params.eps * pair.rho, s.psi))
         sup_env_b = max(sup_env_b, env_b)
@@ -204,15 +187,9 @@ class ContDepReport:
     rhs_terms: dict
 
 
-def _dual_style_bulk(ops, v):
-    m = diskfem.mean_bulk(ops, v)
-    return diskfem.dual_norm_bulk(ops, v) + math.sqrt(ops.area) * abs(m)
-
-
-def _dual_style_bdry(ops, v):
-    m = diskfem.mean_bdry(ops, v)
-    return diskfem.dual_norm_bdry(ops, v) \
-        + math.sqrt(ops.boundary_length) * abs(m)
+def _dual_style(part, v):
+    return diskfem.dual_norm(part, v) \
+        + math.sqrt(part.measure) * abs(diskfem.mean(part, v))
 
 
 def _check_same_grid(trajA, trajB):
@@ -251,8 +228,8 @@ def cont_dep(trajA, trajB, dataA, dataB, ops):
     for k, (sA, sB) in enumerate(zip(trajA.states, trajB.states)):
         dphi = sA.phi - sB.phi
         dpsi = sA.psi - sB.psi
-        sup_dual_b = max(sup_dual_b, diskfem.dual_norm_bulk(ops, dphi))
-        sup_dual_g = max(sup_dual_g, diskfem.dual_norm_bdry(ops, dpsi))
+        sup_dual_b = max(sup_dual_b, diskfem.dual_norm(ops.bulk, dphi))
+        sup_dual_g = max(sup_dual_g, diskfem.dual_norm(ops.bdry, dpsi))
         if k >= 1:
             int_h1_b += h_rec * diskfem.norms_bulk(ops, dphi)["h1"] ** 2
             int_h1_g += h_rec * diskfem.norms_bdry(ops, dpsi)["h1"] ** 2
@@ -274,12 +251,12 @@ def cont_dep(trajA, trajB, dataA, dataB, ops):
         dg = stepper.average_source(dataA.g, n, h, ops.mesh.n_bdry) \
             - stepper.average_source(dataB.g, n, h, ops.mesh.n_bdry)
         if np.any(df):
-            src_b += h * _dual_style_bulk(ops, df) ** 2
+            src_b += h * _dual_style(ops.bulk, df) ** 2
         if np.any(dg):
-            src_g += h * _dual_style_bdry(ops, dg) ** 2
+            src_g += h * _dual_style(ops.bdry, dg) ** 2
     rhs_terms = {
-        "dual_phi0": diskfem.dual_norm_bulk(ops, dphi0),
-        "dual_psi0": diskfem.dual_norm_bdry(ops, dpsi0),
+        "dual_phi0": diskfem.dual_norm(ops.bulk, dphi0),
+        "dual_psi0": diskfem.dual_norm(ops.bdry, dpsi0),
         "l2_dual_f": math.sqrt(src_b),
         "l2_dual_g": math.sqrt(src_g),
     }
@@ -318,13 +295,15 @@ def cauchy_distance(trajA, trajB, ops):
     c_h = l2v = 0.0
     c_hg = l2vg = 0.0
     for n in range(NA + 1):
-        dphi = trajA.states[n].phi - trajB.states[k * n].phi
-        dpsi = trajA.states[n].psi - trajB.states[k * n].psi
-        c_h = max(c_h, diskfem.norms_bulk(ops, dphi)["l2"])
-        c_hg = max(c_hg, diskfem.norms_bdry(ops, dpsi)["l2"])
+        nb = diskfem.norms_bulk(ops, trajA.states[n].phi
+                                - trajB.states[k * n].phi)
+        ng = diskfem.norms_bdry(ops, trajA.states[n].psi
+                                - trajB.states[k * n].psi)
+        c_h = max(c_h, nb["l2"])
+        c_hg = max(c_hg, ng["l2"])
         if n >= 1:
-            l2v += h * diskfem.norms_bulk(ops, dphi)["h1"] ** 2
-            l2vg += h * diskfem.norms_bdry(ops, dpsi)["h1"] ** 2
+            l2v += h * nb["h1"] ** 2
+            l2vg += h * ng["h1"] ** 2
     return CauchyReport(c_h, math.sqrt(l2v), c_hg, math.sqrt(l2vg))
 
 

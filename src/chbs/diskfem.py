@@ -3,12 +3,14 @@
 The mesh generator places a center vertex plus concentric rings; the
 outermost ring is the closed boundary polyline.  Assembly produces the
 consistent bulk mass/stiffness pair and the periodic 1-D mass/stiffness
-pair along the boundary (arc-length Laplacian on the curve).  On top of
-those sit mean values, the shifted Neumann inverse, the constrained Green
-solves for zero-mean data, and the dual norms they induce.
+pair along the boundary (arc-length Laplacian on the curve).  Each side is a
+:class:`Part`; the mean values, the shifted inverse, the constrained Green
+solves for zero-mean data and the dual norms they induce are written once
+against it.
 """
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,10 +43,6 @@ class DiskMesh:
     @property
     def n_bdry(self):
         return self.boundary_loop.shape[0]
-
-    @property
-    def bdry_of_bulk(self):
-        return self.boundary_loop
 
     def triangle_areas(self):
         p = self.vertices[self.triangles]
@@ -184,52 +182,56 @@ def load_mesh(path):
     return DiskMesh(vertices, triangles, loop)
 
 
-class DiscreteOperators:
-    """Assembled sparse operators plus cached factorizations.
+class Part:
+    """One side, the disk or its boundary curve, with its P1 operators.
 
-    Immutable after construction; the lazily built factorizations are
-    read-only once created, so sharing across threads is safe.
+    Factorizations are built on first use under a lock and are read-only
+    afterwards, so a part can be shared across threads.
     """
+
+    def __init__(self, name, M, K):
+        self.name = name
+        self.M = M
+        self.K = K
+        self.lumped = np.asarray(M.sum(axis=1)).ravel()
+        self.measure = float(self.lumped.sum())
+        self._cache = {}
+        self._lock = threading.Lock()
+
+    def solver(self, kind):
+        """Factorization of ``M`` (``"mass"``), ``M + K`` (``"shifted"``) or
+        the stiffness bordered by the lumped-mass row (``"green"``)."""
+        with self._lock:
+            if kind not in self._cache:
+                if kind == "mass":
+                    A = self.M
+                elif kind == "shifted":
+                    A = self.M + self.K
+                elif kind == "green":
+                    m = sp.csc_matrix(self.lumped[:, None])
+                    A = sp.bmat([[self.K, m], [m.T, None]], format="csc")
+                else:
+                    raise ValueError("unknown factorization %r" % kind)
+                self._cache[kind] = _FactoredMatrix(A.tocsc())
+            return self._cache[kind]
+
+
+class DiscreteOperators:
+    """The assembled mesh operators: one :class:`Part` per side."""
 
     def __init__(self, mesh, M_bulk, K_bulk, M_bdry, K_bdry):
         self.mesh = mesh
-        self.M_bulk = M_bulk
-        self.K_bulk = K_bulk
-        self.M_bdry = M_bdry
-        self.K_bdry = K_bdry
-        self.lumped_bulk = np.asarray(M_bulk.sum(axis=1)).ravel()
-        self.lumped_bdry = np.asarray(M_bdry.sum(axis=1)).ravel()
-        self.area = float(self.lumped_bulk.sum())
-        self.boundary_length = float(self.lumped_bdry.sum())
-        self._cache = {}
+        self.bulk = Part("bulk", M_bulk, K_bulk)
+        self.bdry = Part("boundary", M_bdry, K_bdry)
 
-    # -- factorizations -------------------------------------------------
-    def _factor(self, key, build):
-        if key not in self._cache:
-            A = build().tocsc()
-            self._cache[key] = _FactoredMatrix(A)
-        return self._cache[key]
+    # single-matrix names for the stepper's blocks and external callers
+    M_bulk = property(lambda self: self.bulk.M)
+    K_bulk = property(lambda self: self.bulk.K)
+    M_bdry = property(lambda self: self.bdry.M)
+    K_bdry = property(lambda self: self.bdry.K)
 
     def mass_bulk_solver(self):
-        return self._factor("m_bulk", lambda: self.M_bulk)
-
-    def shifted_bulk_solver(self):
-        return self._factor("mk_bulk", lambda: self.M_bulk + self.K_bulk)
-
-    def shifted_bdry_solver(self):
-        return self._factor("mk_bdry", lambda: self.M_bdry + self.K_bdry)
-
-    def green_bulk_solver(self):
-        def build():
-            m = sp.csc_matrix(self.lumped_bulk[:, None])
-            return sp.bmat([[self.K_bulk, m], [m.T, None]], format="csc")
-        return self._factor("green_bulk", build)
-
-    def green_bdry_solver(self):
-        def build():
-            m = sp.csc_matrix(self.lumped_bdry[:, None])
-            return sp.bmat([[self.K_bdry, m], [m.T, None]], format="csc")
-        return self._factor("green_bdry", build)
+        return self.bulk.solver("mass")
 
 
 class _FactoredMatrix:
@@ -271,9 +273,7 @@ def assemble(mesh):
     realizes the arc-length Laplacian of the closed curve.
     """
     p = mesh.vertices[mesh.triangles]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    areas = mesh.triangle_areas()
     if (areas <= 1e-14).any():
         raise DegenerateElement(
             "triangle area %.3e below threshold" % float(areas.min()))
@@ -285,40 +285,35 @@ def assemble(mesh):
     grads = np.stack([e0, e1, e2], axis=1)
     grads = np.stack([-grads[:, :, 1], grads[:, :, 0]],
                      axis=2) / (2.0 * areas)[:, None, None]
-
-    nt = mesh.triangles.shape[0]
-    rows = np.repeat(mesh.triangles, 3, axis=1).reshape(nt, 3, 3)
-    cols = np.tile(mesh.triangles, 3).reshape(nt, 3, 3)
-
     m_loc = (np.ones((3, 3)) + np.eye(3)) / 12.0
     Me = m_loc[None, :, :] * areas[:, None, None]
     Ke = np.einsum("tid,tjd->tij", grads, grads) * areas[:, None, None]
 
-    n = mesh.n_bulk
-    M_bulk = sp.coo_matrix((Me.ravel(), (rows.ravel(), cols.ravel())),
-                           shape=(n, n)).tocsr()
-    K_bulk = sp.coo_matrix((Ke.ravel(), (rows.ravel(), cols.ravel())),
-                           shape=(n, n)).tocsr()
-
-    nb = mesh.n_bdry
     lengths = mesh.boundary_lengths()
     if (lengths <= 1e-14).any():
         raise DegenerateElement("boundary segment of vanishing length")
-    left = np.arange(nb)
-    right = (left + 1) % nb
-    seg_rows = np.stack([left, left, right, right], axis=1)
-    seg_cols = np.stack([left, right, left, right], axis=1)
+    left = np.arange(mesh.n_bdry)
+    segments = np.stack([left, (left + 1) % mesh.n_bdry], axis=1)
     m_seg = np.stack([lengths / 3.0, lengths / 6.0,
                       lengths / 6.0, lengths / 3.0], axis=1)
     k_seg = np.stack([1.0 / lengths, -1.0 / lengths,
                       -1.0 / lengths, 1.0 / lengths], axis=1)
-    M_bdry = sp.coo_matrix((m_seg.ravel(), (seg_rows.ravel(),
-                                            seg_cols.ravel())),
-                           shape=(nb, nb)).tocsr()
-    K_bdry = sp.coo_matrix((k_seg.ravel(), (seg_rows.ravel(),
-                                            seg_cols.ravel())),
-                           shape=(nb, nb)).tocsr()
-    return DiscreteOperators(mesh, M_bulk, K_bulk, M_bdry, K_bdry)
+
+    tris, nb, ng = mesh.triangles, mesh.n_bulk, mesh.n_bdry
+    return DiscreteOperators(mesh,
+                             _scatter(tris, Me, nb), _scatter(tris, Ke, nb),
+                             _scatter(segments, m_seg, ng),
+                             _scatter(segments, k_seg, ng))
+
+
+def _scatter(elements, local, n):
+    """Sum the k x k element matrices ``local[e]`` (row-major) at the
+    global indices ``elements[e]`` into an n x n CSR matrix."""
+    k = elements.shape[1]
+    rows = np.repeat(elements, k, axis=1).ravel()
+    cols = np.tile(elements, k).ravel()
+    return sp.coo_matrix((local.ravel(), (rows, cols)),
+                         shape=(n, n)).tocsr()
 
 
 def trace(ops, v):
@@ -326,107 +321,87 @@ def trace(ops, v):
     return np.asarray(v)[ops.mesh.boundary_loop]
 
 
-def scatter_bdry(ops, v_bdry):
-    """Adjoint of the trace: place boundary values into a zero bulk vector."""
-    out = np.zeros(ops.mesh.n_bulk)
-    out[ops.mesh.boundary_loop] = v_bdry
-    return out
+def mean(part, v):
+    """Integral mean over the part."""
+    return float(part.lumped @ v) / part.measure
 
 
 def mean_bulk(ops, v):
     """Integral mean over the disk."""
-    return float(ops.lumped_bulk @ v) / ops.area
+    return mean(ops.bulk, v)
 
 
 def mean_bdry(ops, v_bdry):
     """Integral mean over the boundary curve."""
-    return float(ops.lumped_bdry @ v_bdry) / ops.boundary_length
+    return mean(ops.bdry, v_bdry)
 
 
-def inv_neumann_shifted(ops, v):
-    """Apply the inverse of the mass-shifted Neumann stiffness.
+def inv_shifted(part, v):
+    """Apply the inverse of the mass-shifted stiffness.
 
     Solves (M + K) u = M v; constants are fixed points and the mean is
     preserved because the stiffness annihilates constants.
     """
-    return ops.shifted_bulk_solver().solve(ops.M_bulk @ v,
-                                           "shifted bulk solve")
+    return part.solver("shifted").solve(part.M @ v,
+                                        "shifted %s solve" % part.name)
+
+
+def inv_neumann_shifted(ops, v):
+    """:func:`inv_shifted` on the disk (Neumann stiffness)."""
+    return inv_shifted(ops.bulk, v)
 
 
 def inv_shifted_bdry(ops, v_bdry):
-    """Boundary analog of :func:`inv_neumann_shifted`."""
-    return ops.shifted_bdry_solver().solve(ops.M_bdry @ v_bdry,
-                                           "shifted boundary solve")
+    """:func:`inv_shifted` on the boundary curve."""
+    return inv_shifted(ops.bdry, v_bdry)
 
 
-def _green(ops, v, M, lumped, total, factor, what):
-    v = np.asarray(v, dtype=float)
-    mean = float(lumped @ v) / total
-    if abs(mean) > 1e-10:
-        raise NotZeroMean("%s: input mean %.3e exceeds 1e-10" % (what, mean))
-    v0 = v - mean
-    rhs = np.concatenate([M @ v0, [0.0]])
-    x = factor.solve(rhs, what)
-    u = x[:-1]
-    return u - float(lumped @ u) / total
+def green(part, v):
+    """Discrete zero-mean inverse Laplacian of the part.
 
-
-def green_bulk(ops, v):
-    """Discrete zero-mean inverse Neumann Laplacian on the disk.
-
-    Input must have zero mean (within 1e-10).  The constrained solve uses
-    a bordered system with the lumped-mass row, then re-projects.
+    Neumann on the disk, arc-length on the curve.  Input must have zero
+    mean (within 1e-10).  The constrained solve uses a bordered system
+    with the lumped-mass row, then re-projects.
     """
-    return _green(ops, v, ops.M_bulk, ops.lumped_bulk,
-                  ops.area, ops.green_bulk_solver(), "bulk green solve")
+    what = "%s green solve" % part.name
+    v = np.asarray(v, dtype=float)
+    m = mean(part, v)
+    if abs(m) > 1e-10:
+        raise NotZeroMean("%s: input mean %.3e exceeds 1e-10" % (what, m))
+    rhs = np.concatenate([part.M @ (v - m), [0.0]])
+    u = part.solver("green").solve(rhs, what)[:-1]
+    return u - mean(part, u)
 
 
-def green_bdry(ops, v_bdry):
-    """Discrete zero-mean inverse arc-length Laplacian on the curve."""
-    return _green(ops, v_bdry, ops.M_bdry, ops.lumped_bdry,
-                  ops.boundary_length, ops.green_bdry_solver(),
-                  "boundary green solve")
-
-
-def dual_norm_bulk(ops, v):
+def dual_norm(part, v):
     """Gradient-flow dual norm of the zero-mean part of ``v``.
 
     The mean is subtracted internally; the norm vanishes exactly on
     constants.
     """
     v = np.asarray(v, dtype=float)
-    v0 = v - mean_bulk(ops, v)
+    v0 = v - mean(part, v)
     if float(np.abs(v0).max(initial=0.0)) \
             <= 1e-14 * max(1.0, float(np.abs(v).max(initial=0.0))):
         return 0.0
-    u = green_bulk(ops, v0)
-    return math.sqrt(max(float(u @ (ops.K_bulk @ u)), 0.0))
+    u = green(part, v0)
+    return math.sqrt(max(float(u @ (part.K @ u)), 0.0))
 
 
-def dual_norm_bdry(ops, v_bdry):
-    """Boundary analog of :func:`dual_norm_bulk`."""
-    v = np.asarray(v_bdry, dtype=float)
-    v0 = v - mean_bdry(ops, v)
-    if float(np.abs(v0).max(initial=0.0)) \
-            <= 1e-14 * max(1.0, float(np.abs(v).max(initial=0.0))):
-        return 0.0
-    u = green_bdry(ops, v0)
-    return math.sqrt(max(float(u @ (ops.K_bdry @ u)), 0.0))
+def norms(part, v):
+    """L2 norm, H1 seminorm and full H1 norm of a field on the part."""
+    l2sq = float(v @ (part.M @ v))
+    h1sq = float(v @ (part.K @ v))
+    return {"l2": math.sqrt(max(l2sq, 0.0)),
+            "h1_semi": math.sqrt(max(h1sq, 0.0)),
+            "h1": math.sqrt(max(l2sq + h1sq, 0.0))}
 
 
 def norms_bulk(ops, v):
-    """L2 norm, H1 seminorm and full H1 norm of a bulk field."""
-    l2sq = float(v @ (ops.M_bulk @ v))
-    h1sq = float(v @ (ops.K_bulk @ v))
-    return {"l2": math.sqrt(max(l2sq, 0.0)),
-            "h1_semi": math.sqrt(max(h1sq, 0.0)),
-            "h1": math.sqrt(max(l2sq + h1sq, 0.0))}
+    """:func:`norms` of a bulk field."""
+    return norms(ops.bulk, v)
 
 
 def norms_bdry(ops, v_bdry):
-    """Boundary analog of :func:`norms_bulk`."""
-    l2sq = float(v_bdry @ (ops.M_bdry @ v_bdry))
-    h1sq = float(v_bdry @ (ops.K_bdry @ v_bdry))
-    return {"l2": math.sqrt(max(l2sq, 0.0)),
-            "h1_semi": math.sqrt(max(h1sq, 0.0)),
-            "h1": math.sqrt(max(l2sq + h1sq, 0.0))}
+    """:func:`norms` of a boundary field."""
+    return norms(ops.bdry, v_bdry)

@@ -36,10 +36,9 @@ class NewtonFailure(ChbsError):
     Carries the last residual norm in ``residual``.
     """
 
-    def __init__(self, message, residual=None, step=None):
+    def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
-        self.step = step
 
 
 class ValidationFailure(ChbsError):

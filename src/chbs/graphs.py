@@ -10,6 +10,7 @@ the compatibility constants ``rho`` and ``c0`` that bound the bulk
 minimal section by the boundary one.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -272,6 +273,18 @@ def _solve_resolvent(graph, eps_eff, r):
     return j
 
 
+def _nodal(fn):
+    """Let ``fn(graph, eps_eff, r)``, written for 1-d arrays, also map a
+    scalar ``r`` to a float."""
+    @functools.wraps(fn)
+    def wrapper(graph, eps_eff, r):
+        scalar = np.isscalar(r) or np.ndim(r) == 0
+        out = fn(graph, eps_eff, np.atleast_1d(np.asarray(r, dtype=float)))
+        return float(out[0]) if scalar else out
+    return wrapper
+
+
+@_nodal
 def resolvent(graph, eps_eff, r):
     """Resolvent J with J + eps_eff * beta(J) containing r.
 
@@ -280,34 +293,24 @@ def resolvent(graph, eps_eff, r):
     """
     if not eps_eff > 0.0:
         raise ValueError("eps_eff must be positive")
-    scalar = np.isscalar(r) or np.ndim(r) == 0
-    r = np.atleast_1d(np.asarray(r, dtype=float))
     if graph.kind == OBSTACLE:
-        j = np.clip(r, -1.0, 1.0)
-    else:
-        j = _solve_resolvent(graph, eps_eff, r)
-    return float(j[0]) if scalar else j
+        return np.clip(r, -1.0, 1.0)
+    return _solve_resolvent(graph, eps_eff, r)
 
 
+@_nodal
 def _yosida(graph, eps_eff, r):
-    scalar = np.isscalar(r) or np.ndim(r) == 0
-    rr = np.atleast_1d(np.asarray(r, dtype=float))
-    j = resolvent(graph, eps_eff, rr)
-    out = (rr - np.atleast_1d(j)) / eps_eff
-    return float(out[0]) if scalar else out
+    return (r - resolvent(graph, eps_eff, r)) / eps_eff
 
 
+@_nodal
 def _yosida_prime(graph, eps_eff, r):
-    scalar = np.isscalar(r) or np.ndim(r) == 0
-    rr = np.atleast_1d(np.asarray(r, dtype=float))
     if graph.kind == OBSTACLE:
         # generalized derivative: 0 on [-1, 1] (including the kinks)
-        out = np.where(np.abs(rr) > 1.0, 1.0 / eps_eff, 0.0)
-    else:
-        j = np.atleast_1d(resolvent(graph, eps_eff, rr))
-        jp = 1.0 / (1.0 + eps_eff * graph.beta_prime(j))
-        out = (1.0 - jp) / eps_eff
-    return float(out[0]) if scalar else out
+        return np.where(np.abs(r) > 1.0, 1.0 / eps_eff, 0.0)
+    j = resolvent(graph, eps_eff, r)
+    jp = 1.0 / (1.0 + eps_eff * graph.beta_prime(j))
+    return (1.0 - jp) / eps_eff
 
 
 def yosida_bulk(graph, eps, r):
@@ -341,6 +344,7 @@ def yosida_boundary_prime(graph, eps, rho, r):
     return _yosida_prime(graph, eps * rho, r)
 
 
+@_nodal
 def moreau_envelope(graph, eps_eff, r):
     """Inf-convolution smoothing of the convex primitive.
 
@@ -348,14 +352,11 @@ def moreau_envelope(graph, eps_eff, r):
     (1 / (2 eps_eff)) (r - J)^2 + primitive(J).  Always finite, between 0
     and the unsmoothed primitive.
     """
-    scalar = np.isscalar(r) or np.ndim(r) == 0
-    rr = np.atleast_1d(np.asarray(r, dtype=float))
-    j = np.atleast_1d(resolvent(graph, eps_eff, rr))
+    j = resolvent(graph, eps_eff, r)
     if graph.kind == LOG:
         # guard against a one-ulp overshoot of the root solve
         j = np.clip(j, -1.0, 1.0)
-    out = 0.5 / eps_eff * (rr - j) ** 2 + graph.primitive(j)
-    return float(out[0]) if scalar else out
+    return 0.5 / eps_eff * (r - j) ** 2 + graph.primitive(j)
 
 
 def minimal_section(graph, r):

@@ -50,6 +50,12 @@ class SchemeParams:
             bad.append("time step h must be positive")
         if not self.t_final >= self.h:
             bad.append("t_final must be at least one step")
+        elif self.h > 0.0:
+            steps = self.t_final / self.h
+            if not (math.isfinite(steps) and abs(steps - round(steps))
+                    <= 1e-9 * max(1.0, steps)):
+                bad.append("t_final must be a whole number of steps "
+                           "(t_final/h = %.17g)" % steps)
         if not 0.0 < self.eps <= 1.0:
             bad.append("eps must lie in (0, 1]")
         if not 0.0 <= self.tau <= 1.0:
@@ -100,7 +106,6 @@ class SchemeState:
 class StepReport:
     newton_iters: int
     final_residual: float
-    guard_ok: bool
     linsolves: int
     refactors: int
 
@@ -172,20 +177,21 @@ def average_source(source, n, h, size):
 
     Exact for sources polynomial in time up to degree five.
     """
-    if source is None:
-        return np.zeros(size)
     if not callable(source):
-        return np.asarray(source, dtype=float).copy()
-    t0 = n * h
+        return source_at(source, n * h, size)
     acc = np.zeros(size)
-    for node, weight in zip(_GAUSS3_NODES, _GAUSS3_WEIGHTS):
-        acc += weight * np.asarray(source(t0 + 0.5 * h * (node + 1.0)),
-                                   dtype=float)
+    for t, weight in zip(_gauss_times(n, h), _GAUSS3_WEIGHTS):
+        acc += weight * np.asarray(source(t), dtype=float)
     return acc
 
 
+def _gauss_times(n, h):
+    """The quadrature nodes of step ``n`` at which sources are evaluated."""
+    return [n * h + 0.5 * h * (node + 1.0) for node in _GAUSS3_NODES]
+
+
 def source_at(source, t, size):
-    """Point value of a source (for validation-time checks)."""
+    """Nodal value of a source at time ``t`` (zero for ``None``)."""
     if source is None:
         return np.zeros(size)
     if not callable(source):
@@ -204,13 +210,16 @@ def validate(data, params, ops, strong=False,
              strong_eps_ladder=(0.4, 0.2, 0.1, 0.05)):
     """Check the admissibility of problem data and parameters.
 
+    Sources must have one finite value per node: array sources are checked
+    once, callable ones at every quadrature node of the run.
     With ``strong=True`` additionally evaluates the compatibility
     expression  -Lap(phi0) + beta_eps(phi0) + pi(phi0) - f(0)  in the
     discrete H1 norm over a decreasing regularization ladder and reports
     whether those norms plateau (relative growth of the last rung below
     ten percent).
     """
-    violations = list(params.check())
+    param_violations = params.check()
+    violations = list(param_violations)
     pair = data.pair
     phi0 = np.asarray(data.phi0, dtype=float)
     psi0 = np.asarray(data.psi0, dtype=float)
@@ -225,28 +234,33 @@ def validate(data, params, ops, strong=False,
         violations.append(
             "psi0 is not the trace of phi0 (first mismatch at boundary "
             "node %d)" % int(bad[0]))
-    m0 = diskfem.mean_bulk(ops, phi0)
-    if not pair.bulk.contains(m0, interior=True):
-        violations.append("bulk mean %.6g not interior to the bulk graph "
-                          "domain" % m0)
-    mg0 = diskfem.mean_bdry(ops, psi0)
-    if not pair.boundary.contains(mg0, interior=True):
-        violations.append("boundary mean %.6g not interior to the boundary "
-                          "graph domain" % mg0)
-    if not np.isfinite(pair.bulk.primitive(phi0)).all():
-        violations.append("initial bulk potential energy is infinite")
-    if not np.isfinite(pair.boundary.primitive(psi0)).all():
-        violations.append("initial boundary potential energy is infinite")
+    for part, v, graph in ((ops.bulk, phi0, pair.bulk),
+                           (ops.bdry, psi0, pair.boundary)):
+        m = diskfem.mean(part, v)
+        if not graph.contains(m, interior=True):
+            violations.append("%s mean %.6g not interior to the %s graph "
+                              "domain" % (part.name, m, part.name))
+        if not np.isfinite(graph.primitive(v)).all():
+            violations.append("initial %s potential energy is infinite"
+                              % part.name)
     for name, source, size in (("f", data.f, ops.mesh.n_bulk),
                                ("g", data.g, ops.mesh.n_bdry)):
-        if source is None or callable(source):
-            continue
-        values = np.asarray(source, dtype=float)
-        if values.shape != (size,):
-            violations.append("source %s has shape %s, expected (%d,)"
-                              % (name, values.shape, size))
-        elif not np.isfinite(values).all():
-            violations.append("source %s has non-finite entries" % name)
+        # arrays are constant in time; a callable is checked at every time
+        # average_source evaluates it at, which needs a valid step grid
+        times = [0.0]
+        if callable(source):
+            times = [] if param_violations else [
+                t for n in range(params.n_steps)
+                for t in _gauss_times(n, params.h)]
+        for t in times:
+            values = source_at(source, t, size)
+            if values.shape != (size,):
+                violations.append("source %s has shape %s, expected (%d,)"
+                                  % (name, values.shape, size))
+                break
+            if not np.isfinite(values).all():
+                violations.append("source %s has non-finite entries" % name)
+                break
 
     report = ValidationReport(not violations, violations)
     if strong and not violations:
@@ -378,8 +392,7 @@ def _residual(work, state, fn, gn, phi, mu, w):
     return np.concatenate([r1, r2, r3]), rms
 
 
-def solve_step(state, data, params, ops, fn=None, gn=None, work=None,
-               guard_ok=None):
+def solve_step(state, data, params, ops, fn=None, gn=None, work=None):
     """Advance one time level.
 
     Returns ``(new_state, StepReport)``.  Raises NewtonFailure when the
@@ -387,8 +400,6 @@ def solve_step(state, data, params, ops, fn=None, gn=None, work=None,
     """
     if work is None:
         work = _StepWorkspace(ops, data.pair, params)
-    if guard_ok is None:
-        guard_ok = step_guard(params, data.pair).ok
     if fn is None:
         fn = average_source(data.f, state.n, params.h, ops.mesh.n_bulk)
     if gn is None:
@@ -445,7 +456,7 @@ def solve_step(state, data, params, ops, fn=None, gn=None, work=None,
                             % rms, residual=rms)
     new = SchemeState(state.n + 1, (state.n + 1) * h, phi, mu,
                       phi[work.loop].copy(), w)
-    return new, StepReport(iters, rms, bool(guard_ok), linsolves, refactors)
+    return new, StepReport(iters, rms, linsolves, refactors)
 
 
 def run(data, params, ops, hooks=()):
@@ -465,11 +476,8 @@ def run(data, params, ops, hooks=()):
         hook(state, None)
     for n in range(params.n_steps):
         try:
-            state, report = solve_step(state, data, params, ops,
-                                       work=work, guard_ok=guard.ok)
+            state, report = solve_step(state, data, params, ops, work=work)
         except (NewtonFailure, LinSolveFailure, IterationFailure) as exc:
-            if isinstance(exc, NewtonFailure):
-                exc.step = n
             traj.failure = exc
             traj.failed_step = n
             return traj

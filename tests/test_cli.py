@@ -125,6 +125,17 @@ class TestCmdRun:
         cfg = cli.parse_config(path)
         assert cli.cmd_run(cfg, echo=lambda *a: None) == 2
 
+    @pytest.mark.parametrize("body", (
+        TINY + "source_f = ramp(nan)\n",
+        TINY.replace("h = 0.001", "h = 0.003")),
+        ids=("nan-callable-source", "partial-last-step"))
+    def test_bad_source_or_horizon_exit_2(self, tmp_path, body):
+        cfg = cli.parse_config(write_config(tmp_path, body))
+        code, traj = cli.execute_run(cfg, out_dir=str(tmp_path / "out"),
+                                     echo=lambda *a: None)
+        assert code == 2
+        assert traj is None
+
     def test_guard_strict_vs_warn(self, tmp_path):
         body = ("mesh_rings = 3\nmesh_sectors = 12\n"
                 "h = 0.06\nt_final = 0.12\nic = constant(0)\n")

@@ -41,7 +41,7 @@ class TestEnergy:
     def test_zero_state_regular(self, tiny_ops):
         pair = graphs.preset_pair("regular")
         e = diagnostics.energy(zero_state(tiny_ops), pair, tiny_ops)
-        want = 0.25 * tiny_ops.area + 0.25 * tiny_ops.boundary_length
+        want = 0.25 * tiny_ops.bulk.measure + 0.25 * tiny_ops.bdry.measure
         assert e == pytest.approx(want, rel=1e-13)
 
     def test_pure_state_has_no_energy(self, tiny_ops):
@@ -152,13 +152,13 @@ class TestContDep:
         corr = diskfem.mean_bulk(small_ops, bump)
         interior = np.ones_like(bump, dtype=bool)
         interior[loop] = False
-        bump[interior] -= corr * small_ops.area / float(
-            small_ops.lumped_bulk[interior].sum())
+        bump[interior] -= corr * small_ops.bulk.measure / float(
+            small_ops.bulk.lumped[interior].sum())
         dataB = stepper.problem_data(small_ops, base + bump, pair)
         trajA = stepper.run(dataA, params, small_ops)
         trajB = stepper.run(dataB, params, small_ops)
         rep = diagnostics.cont_dep(trajA, trajB, dataA, dataB, small_ops)
-        want = diskfem.dual_norm_bulk(small_ops, bump)
+        want = diskfem.dual_norm(small_ops.bulk, bump)
         assert rep.rhs == pytest.approx(want, rel=1e-9)
         assert rep.rhs_terms["dual_psi0"] == 0.0
         assert rep.rhs_terms["l2_dual_f"] == 0.0

@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -119,34 +121,57 @@ class TestAssembly:
             assert np.allclose(K[i], np.roll(row, i), atol=1e-12)
 
 
+def sides(ops):
+    return (ops.bulk, ops.bdry)
+
+
+def size(part):
+    return part.M.shape[0]
+
+
 class TestMeans:
     def test_constants(self, small_ops):
-        nb = small_ops.mesh.n_bulk
-        assert diskfem.mean_bulk(small_ops, np.ones(nb)) == pytest.approx(
-            1.0, rel=1e-13)
-        assert diskfem.mean_bulk(small_ops, np.zeros(nb)) == 0.0
-        ng = small_ops.mesh.n_bdry
-        assert diskfem.mean_bdry(small_ops, np.ones(ng)) == pytest.approx(
-            1.0, rel=1e-13)
+        for part in sides(small_ops):
+            assert diskfem.mean(part, np.ones(size(part))) == pytest.approx(
+                1.0, rel=1e-13), part.name
+            assert diskfem.mean(part, np.zeros(size(part))) == 0.0, part.name
 
     def test_odd_field_has_zero_mean(self, desk_ops):
         x = desk_ops.mesh.vertices[:, 0]
-        assert abs(diskfem.mean_bulk(desk_ops, x)) < 1e-10
+        assert abs(diskfem.mean(desk_ops.bulk, x)) < 1e-10
+        assert abs(diskfem.mean(desk_ops.bdry,
+                                x[desk_ops.mesh.boundary_loop])) < 1e-10
+
+
+def test_concurrent_first_use_builds_one_factorization():
+    # sweep members share one set of operators, so several threads can
+    # ask for a factorization before it exists; all must get the same one
+    ops = diskfem.assemble(diskfem.gen_disk_mesh(20, 80))
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(lambda _: ops.bulk.solver("shifted"),
+                                range(8), timeout=60))
+    finally:
+        sys.setswitchinterval(old)
+    assert all(g is got[0] for g in got)
 
 
 class TestShiftedInverse:
     def test_constants_are_fixed_points(self, small_ops):
-        c = 3.0 * np.ones(small_ops.mesh.n_bulk)
-        assert np.abs(diskfem.inv_neumann_shifted(small_ops, c) - 3.0).max() \
-            < 1e-10
-        z = np.zeros(small_ops.mesh.n_bulk)
-        assert np.abs(diskfem.inv_neumann_shifted(small_ops, z)).max() == 0.0
+        for part in sides(small_ops):
+            c = 3.0 * np.ones(size(part))
+            assert np.abs(diskfem.inv_shifted(part, c) - 3.0).max() < 1e-10
+            z = np.zeros(size(part))
+            assert np.abs(diskfem.inv_shifted(part, z)).max() == 0.0
 
     def test_mean_preserved(self, small_ops, rng):
-        v = rng.standard_normal(small_ops.mesh.n_bulk)
-        u = diskfem.inv_neumann_shifted(small_ops, v)
-        assert abs(diskfem.mean_bulk(small_ops, u)
-                   - diskfem.mean_bulk(small_ops, v)) < 1e-10
+        for part in sides(small_ops):
+            v = rng.standard_normal(size(part))
+            u = diskfem.inv_shifted(part, v)
+            assert abs(diskfem.mean(part, u) - diskfem.mean(part, v)) \
+                < 1e-10, part.name
 
     def test_boundary_variant(self, small_ops):
         c = -2.0 * np.ones(small_ops.mesh.n_bdry)
@@ -156,51 +181,51 @@ class TestShiftedInverse:
 
 class TestGreen:
     def test_zero_maps_to_zero(self, small_ops):
-        z = np.zeros(small_ops.mesh.n_bulk)
-        assert np.abs(diskfem.green_bulk(small_ops, z)).max() == 0.0
-        zg = np.zeros(small_ops.mesh.n_bdry)
-        assert np.abs(diskfem.green_bdry(small_ops, zg)).max() == 0.0
+        for part in sides(small_ops):
+            z = np.zeros(size(part))
+            assert np.abs(diskfem.green(part, z)).max() == 0.0
 
     def test_rejects_nonzero_mean(self, small_ops):
-        with pytest.raises(NotZeroMean):
-            diskfem.green_bdry(small_ops, np.ones(small_ops.mesh.n_bdry))
-        with pytest.raises(NotZeroMean):
-            diskfem.green_bulk(small_ops, np.ones(small_ops.mesh.n_bulk))
+        for part in sides(small_ops):
+            with pytest.raises(NotZeroMean):
+                diskfem.green(part, np.ones(size(part)))
 
     def test_linearity(self, small_ops, rng):
-        v = rng.standard_normal(small_ops.mesh.n_bulk)
-        v -= diskfem.mean_bulk(small_ops, v)
-        u1 = diskfem.green_bulk(small_ops, 3.5 * v)
-        u2 = 3.5 * diskfem.green_bulk(small_ops, v)
-        assert np.abs(u1 - u2).max() < 1e-11 * max(1.0, np.abs(u2).max())
+        for part in sides(small_ops):
+            v = rng.standard_normal(size(part))
+            v -= diskfem.mean(part, v)
+            u1 = diskfem.green(part, 3.5 * v)
+            u2 = 3.5 * diskfem.green(part, v)
+            assert np.abs(u1 - u2).max() < 1e-11 * max(1.0, np.abs(u2).max())
 
     def test_adjoint_identity(self, small_ops, rng):
-        M = small_ops.M_bulk
-        for _ in range(5):
-            v = rng.standard_normal(small_ops.mesh.n_bulk)
-            v -= diskfem.mean_bulk(small_ops, v)
-            w = rng.standard_normal(small_ops.mesh.n_bulk)
-            w -= diskfem.mean_bulk(small_ops, w)
-            lhs = float(w @ (M @ diskfem.green_bulk(small_ops, v)))
-            rhs = float(v @ (M @ diskfem.green_bulk(small_ops, w)))
-            assert abs(lhs - rhs) < 1e-10
+        for part in sides(small_ops):
+            for _ in range(5):
+                v = rng.standard_normal(size(part))
+                v -= diskfem.mean(part, v)
+                w = rng.standard_normal(size(part))
+                w -= diskfem.mean(part, w)
+                lhs = float(w @ (part.M @ diskfem.green(part, v)))
+                rhs = float(v @ (part.M @ diskfem.green(part, w)))
+                assert abs(lhs - rhs) < 1e-10, part.name
 
     def test_inverts_weak_laplacian(self, small_ops, rng):
         # applying the stiffness (through the mass inverse) then the green
         # solve returns the zero-mean field
-        u = rng.standard_normal(small_ops.mesh.n_bulk)
-        u -= diskfem.mean_bulk(small_ops, u)
-        v = small_ops.mass_bulk_solver().solve(small_ops.K_bulk @ u)
-        back = diskfem.green_bulk(small_ops, v)
-        assert np.abs(back - u).max() < 1e-9
+        for part in sides(small_ops):
+            u = rng.standard_normal(size(part))
+            u -= diskfem.mean(part, u)
+            v = part.solver("mass").solve(part.K @ u)
+            back = diskfem.green(part, v)
+            assert np.abs(back - u).max() < 1e-9, part.name
 
     def test_boundary_fourier_mode_is_eigenvector(self, small_ops):
         mesh = small_ops.mesh
         th = np.arctan2(mesh.vertices[mesh.boundary_loop, 1],
                         mesh.vertices[mesh.boundary_loop, 0])
         v = np.cos(3 * th)
-        v0 = v - diskfem.mean_bdry(small_ops, v)
-        u = diskfem.green_bdry(small_ops, v0)
+        v0 = v - diskfem.mean(small_ops.bdry, v)
+        u = diskfem.green(small_ops.bdry, v0)
         # circulant oracle: eigenvalue ratio of mass and stiffness symbols
         ng = mesh.n_bdry
         ell = float(mesh.boundary_lengths()[0])
@@ -212,57 +237,62 @@ class TestGreen:
 
 class TestNorms:
     def test_zero_field(self, small_ops):
-        n = diskfem.norms_bulk(small_ops, np.zeros(small_ops.mesh.n_bulk))
-        assert n == {"l2": 0.0, "h1_semi": 0.0, "h1": 0.0}
+        for part in sides(small_ops):
+            n = diskfem.norms(part, np.zeros(size(part)))
+            assert n == {"l2": 0.0, "h1_semi": 0.0, "h1": 0.0}
 
     def test_constant_field(self, small_ops):
-        n = diskfem.norms_bulk(small_ops, np.ones(small_ops.mesh.n_bulk))
-        assert n["l2"] == pytest.approx(math.sqrt(small_ops.area), rel=1e-12)
-        assert n["h1_semi"] < 1e-9
+        for part in sides(small_ops):
+            n = diskfem.norms(part, np.ones(size(part)))
+            assert n["l2"] == pytest.approx(math.sqrt(part.measure),
+                                            rel=1e-12)
+            assert n["h1_semi"] < 1e-9
 
     def test_linear_field_seminorm(self, desk_ops):
         x = desk_ops.mesh.vertices[:, 0]
-        n = diskfem.norms_bulk(desk_ops, x)
+        n = diskfem.norms(desk_ops.bulk, x)
         assert abs(n["h1_semi"] ** 2 - math.pi) < 1e-3
 
     def test_dual_norm_basics(self, small_ops, rng):
-        c = 7.0 * np.ones(small_ops.mesh.n_bulk)
-        assert diskfem.dual_norm_bulk(small_ops, c) == 0.0
-        v = rng.standard_normal(small_ops.mesh.n_bulk)
-        assert diskfem.dual_norm_bulk(small_ops, -2.0 * v) == pytest.approx(
-            2.0 * diskfem.dual_norm_bulk(small_ops, v), rel=1e-11)
-        cg = np.ones(small_ops.mesh.n_bdry)
-        assert diskfem.dual_norm_bdry(small_ops, cg) == 0.0
+        for part in sides(small_ops):
+            c = 7.0 * np.ones(size(part))
+            assert diskfem.dual_norm(part, c) == 0.0
+            v = rng.standard_normal(size(part))
+            assert diskfem.dual_norm(part, -2.0 * v) == pytest.approx(
+                2.0 * diskfem.dual_norm(part, v), rel=1e-11)
 
     def test_dual_norm_duality(self, small_ops, rng):
-        v = rng.standard_normal(small_ops.mesh.n_bulk)
-        v -= diskfem.mean_bulk(small_ops, v)
-        dn = diskfem.dual_norm_bulk(small_ops, v)
-        # pairing never exceeds the dual norm times the gradient seminorm
-        for _ in range(200):
-            w = rng.standard_normal(small_ops.mesh.n_bulk)
-            w -= diskfem.mean_bulk(small_ops, w)
-            pair = float(v @ (small_ops.M_bulk @ w))
-            bound = dn * diskfem.norms_bulk(small_ops, w)["h1_semi"]
-            assert pair <= bound + 1e-10
-        # and the green solution attains it
-        wstar = diskfem.green_bulk(small_ops, v)
-        attained = float(v @ (small_ops.M_bulk @ wstar)) \
-            / diskfem.norms_bulk(small_ops, wstar)["h1_semi"]
-        assert attained == pytest.approx(dn, rel=0.02)
+        for part in sides(small_ops):
+            v = rng.standard_normal(size(part))
+            v -= diskfem.mean(part, v)
+            dn = diskfem.dual_norm(part, v)
+            # pairing never exceeds the dual norm times the gradient
+            # seminorm
+            for _ in range(200):
+                w = rng.standard_normal(size(part))
+                w -= diskfem.mean(part, w)
+                pair = float(v @ (part.M @ w))
+                bound = dn * diskfem.norms(part, w)["h1_semi"]
+                assert pair <= bound + 1e-10, part.name
+            # and the green solution attains it
+            wstar = diskfem.green(part, v)
+            attained = float(v @ (part.M @ wstar)) \
+                / diskfem.norms(part, wstar)["h1_semi"]
+            assert attained == pytest.approx(dn, rel=0.02), part.name
 
     def test_poincare_constant_stable(self, small_ops):
-        def max_ratio(seed):
+        def max_ratio(part, seed):
             gen = np.random.default_rng(seed)
             worst = 0.0
             for _ in range(200):
-                v = gen.standard_normal(small_ops.mesh.n_bulk)
-                v -= diskfem.mean_bulk(small_ops, v)
-                n = diskfem.norms_bulk(small_ops, v)
+                v = gen.standard_normal(size(part))
+                v -= diskfem.mean(part, v)
+                n = diskfem.norms(part, v)
                 worst = max(worst, n["l2"] ** 2 / n["h1_semi"] ** 2)
             return worst
 
-        c1 = max_ratio(101)
-        c2 = max_ratio(202)
-        assert c1 <= 1.25 * c2
-        assert c2 <= 1.25 * c1
+        for part in sides(small_ops):
+            c1 = max_ratio(part, 101)
+            c2 = max_ratio(part, 202)
+            assert c1 <= 1.25 * c2, part.name
+            assert c2 <= 1.25 * c1, part.name

@@ -80,12 +80,10 @@ def test_cont_dep_frozen_pair_closed_form(tiny_ops):
     rep = diagnostics.cont_dep(frozen(phiA), frozen(phiA + d),
                                dataA, dataB, tiny_ops)
     T = params.t_final
-    dual_b = diskfem.dual_norm_bulk(tiny_ops, d)
-    dual_g = diskfem.dual_norm_bdry(tiny_ops,
-                                    d[tiny_ops.mesh.boundary_loop])
-    h1_b = diskfem.norms_bulk(tiny_ops, d)["h1"]
-    h1_g = diskfem.norms_bdry(tiny_ops,
-                              d[tiny_ops.mesh.boundary_loop])["h1"]
+    dual_b = diskfem.dual_norm(tiny_ops.bulk, d)
+    dual_g = diskfem.dual_norm(tiny_ops.bdry, d[tiny_ops.mesh.boundary_loop])
+    h1_b = diskfem.norms(tiny_ops.bulk, d)["h1"]
+    h1_g = diskfem.norms(tiny_ops.bdry, d[tiny_ops.mesh.boundary_loop])["h1"]
     want = dual_b + dual_g + math.sqrt(T) * h1_b + math.sqrt(T) * h1_g
     assert rep.lhs == pytest.approx(want, rel=1e-12)
     assert rep.rhs == pytest.approx(dual_b + dual_g, rel=1e-12)

@@ -130,19 +130,39 @@ class TestValidate:
         assert len(rep.violations) >= 2
 
     @pytest.mark.parametrize("which", ("f", "g"))
-    @pytest.mark.parametrize("defect", ("nan", "inf", "short"))
+    @pytest.mark.parametrize("defect", ("nan", "inf", "short",
+                                        "callable-late-nan",
+                                        "callable-short"))
     def test_bad_array_source_fails(self, tiny_ops, which, defect):
         size = (tiny_ops.mesh.n_bulk if which == "f"
                 else tiny_ops.mesh.n_bdry)
         source = np.zeros(size)
         if defect == "short":
             source = source[:-1]
+        elif defect == "callable-late-nan":
+            # finite on the first three of the four steps
+            def source(t):
+                return np.full(size, np.nan if t > 3e-3 else t)
+        elif defect == "callable-short":
+            def source(t):
+                return np.zeros(size - 1)
         else:
             source[1] = np.nan if defect == "nan" else np.inf
         data, params = tiny_problem(tiny_ops, **{which: source})
         rep = stepper.validate(data, params, tiny_ops)
         assert not rep.ok
         assert any("source %s" % which in v for v in rep.violations)
+
+    @pytest.mark.parametrize("h, t_final, whole", (
+        (3e-3, 1e-2, False), (1e-3, 0.25, True), (0.1, 0.3, True)))
+    def test_horizon_must_be_whole_number_of_steps(self, tiny_ops, h,
+                                                   t_final, whole):
+        # 0.25/1e-3 and 0.3/0.1 are whole only up to rounding
+        data, params = tiny_problem(tiny_ops, h=h, t_final=t_final)
+        rep = stepper.validate(data, params, tiny_ops)
+        assert rep.ok == whole
+        assert any("whole number of steps" in v
+                   for v in rep.violations) != whole
 
     def test_strong_mode_reports_ladder(self, tiny_ops):
         pair = graphs.preset_pair("regular")
