@@ -74,6 +74,8 @@ _BOOL_WORDS = {"true": True, "yes": True, "1": True,
                "false": False, "no": False, "0": False}
 
 _RANGES = {
+    "mesh_rings": (1, math.inf),
+    "mesh_sectors": (3, math.inf),
     "tau": (0.0, 1.0),
     "sigma": (0.0, 1.0),
     "eps": (1e-300, 1.0),
@@ -322,6 +324,9 @@ def cmd_sweep(cfg, axis, ladder, workers=1, echo=print):
     ladder = list(ladder)
     if len(ladder) < 3 or any(b >= a for a, b in zip(ladder, ladder[1:])):
         echo("ladder must be strictly decreasing with at least 3 values")
+        return 2
+    if workers < 1:
+        echo("workers must be at least 1")
         return 2
     if axis == "h":
         for a, b in zip(ladder, ladder[1:]):
@@ -658,7 +663,12 @@ def main(argv=None):
             cfg = _load_config(args.config)
             if args.out:
                 cfg = replace(cfg, out_dir=args.out)
-            ladder = [float(x) for x in args.ladder.split(",") if x.strip()]
+            try:
+                ladder = [float(x) for x in args.ladder.split(",")
+                          if x.strip()]
+            except ValueError:
+                raise ParseError("--ladder must be comma-separated numbers, "
+                                 "got %r" % args.ladder) from None
             return cmd_sweep(cfg, args.axis, ladder, workers=args.workers)
         if args.command == "contdep":
             if len(args.config) != 2:
@@ -677,6 +687,10 @@ def main(argv=None):
         return 2
     except ChbsError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # a config, mesh or output path given by the user is unusable
+        print("file error: %s" % exc, file=sys.stderr)
         return 2
     parser.error("unknown command")
 

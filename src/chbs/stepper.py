@@ -228,14 +228,16 @@ def validate(data, params, ops, strong=False,
                           % (phi0.shape[0], ops.mesh.n_bulk))
         return ValidationReport(False, violations)
     tr = diskfem.trace(ops, phi0)
+    sides = [(ops.bulk, phi0, pair.bulk), (ops.bdry, psi0, pair.boundary)]
     if psi0.shape != tr.shape or not np.array_equal(tr, psi0):
         bad = (np.nonzero(tr != psi0)[0] if psi0.shape == tr.shape
                else np.array([0]))
         violations.append(
             "psi0 is not the trace of phi0 (first mismatch at boundary "
             "node %d)" % int(bad[0]))
-    for part, v, graph in ((ops.bulk, phi0, pair.bulk),
-                           (ops.bdry, psi0, pair.boundary)):
+        # psi0 may not even have one entry per boundary node
+        del sides[1]
+    for part, v, graph in sides:
         m = diskfem.mean(part, v)
         if not graph.contains(m, interior=True):
             violations.append("%s mean %.6g not interior to the %s graph "
@@ -281,11 +283,14 @@ def validate(data, params, ops, strong=False,
 
 
 class _StepWorkspace:
-    """Per-run cache: constant Jacobian blocks, trace embedding, LU reuse.
+    """Per-run cache: the step operator L and the LU reuse.
 
-    The Jacobian changes between iterations only through the nodal graph
-    derivatives, which drift slowly along a trajectory, so one LU serves
-    many Newton updates, across iterations and time steps.  Whether it
+    A step solves r(x) = L x - b_n + E n(phi) = 0 for x = (phi, mu, w): L
+    is the linear part of the step equations, b_n the load of level n and
+    E puts the nodal graph term n(phi) on the mu rows.  So the Jacobian
+    L + E n'(phi) E_phi^T moves only with the graph derivatives, which
+    drift slowly along a trajectory, and one LU serves many Newton
+    updates, across iterations and time steps.  Whether it
     still serves is read from the iteration itself (the simplified-Newton
     rule of Hairer & Wanner, Solving ODEs II, IV.8, and Deuflhard 2004):
     after each accepted update the contraction factor
@@ -318,35 +323,51 @@ class _StepWorkspace:
         mesh = ops.mesh
         self.loop = mesh.boundary_loop
         nb, ng = mesh.n_bulk, mesh.n_bdry
-        self.nb, self.ng = nb, ng
-        self.P = sp.csr_matrix((np.ones(ng), (np.arange(ng), self.loop)),
-                               shape=(ng, nb))
+        self.nb = nb
+        self.P = P = sp.csr_matrix(
+            (np.ones(ng), (np.arange(ng), self.loop)), shape=(ng, nb))
+        self.E = sp.eye(2 * nb + ng, nb, k=-nb, format="csr")
+        self.E_phi = sp.eye(2 * nb + ng, nb, format="csr")
         h, tau, sigma = params.h, params.tau, params.sigma
         sb = pair.bulk_pi.slope
         sg = pair.boundary_pi.slope
         Mb, Kb = ops.M_bulk, ops.K_bulk
         Mg, Kg = ops.M_bdry, ops.K_bdry
-        self.A11 = (Mb / h).tocsr()
-        self.A12 = (Mb + Kb).tocsr()
-        self.A21_const = ((tau / h + sb) * Mb + Kb
-                          + self.P.T @ ((sigma / h + sg) * Mg + Kg)
-                          @ self.P).tocsr()
-        self.A22 = (-Mb).tocsr()
-        self.A23 = (-(self.P.T @ Mg)).tocsr()
-        self.A31 = ((Mg / h) @ self.P).tocsr()
-        self.A33 = (Mg + Kg).tocsr()
+        self.L = sp.bmat(
+            [[Mb / h, Mb + Kb, None],
+             [(tau / h + sb) * Mb + Kb
+              + P.T @ ((sigma / h + sg) * Mg + Kg) @ P, -Mb, -(P.T @ Mg)],
+             [(Mg / h) @ P, None, Mg + Kg]], format="csc")
         self._lu = None
 
+    def load(self, state, fn, gn):
+        """b_n: the old level ``state`` and the averaged sources."""
+        p = self.params
+        Mb, Mg = self.ops.M_bulk, self.ops.M_bdry
+        b_mu = Mb @ ((p.tau / p.h) * state.phi + fn)
+        b_mu[self.loop] += Mg @ ((p.sigma / p.h) * state.psi + gn)
+        return np.concatenate([Mb @ (state.phi / p.h + state.mu), b_mu,
+                               Mg @ (state.psi / p.h + state.w)])
+
+    def residual(self, x, b):
+        """Return ``(r, rms)`` with r = L x - b + E n(phi)."""
+        pair, eps = self.pair, self.params.eps
+        phi = x[:self.nb]
+        r = self.L @ x - b
+        r_mu = r[self.nb:2 * self.nb]
+        r_mu += self.ops.M_bulk @ graphs.yosida_bulk(pair.bulk, eps, phi)
+        r_mu[self.loop] += self.ops.M_bdry @ graphs.yosida_boundary(
+            pair.boundary, eps, pair.rho, phi[self.loop])
+        return r, math.sqrt(float(r @ r) / r.size)
+
     def jacobian_matrix(self, phi):
-        pair, params = self.pair, self.params
-        d_b = graphs.yosida_bulk_prime(pair.bulk, params.eps, phi)
-        d_g = graphs.yosida_boundary_prime(pair.boundary, params.eps,
-                                           pair.rho, phi[self.loop])
-        A21 = self.A21_const + self.ops.M_bulk.multiply(d_b[None, :]) \
+        pair, eps = self.pair, self.params.eps
+        d_b = graphs.yosida_bulk_prime(pair.bulk, eps, phi)
+        d_g = graphs.yosida_boundary_prime(pair.boundary, eps, pair.rho,
+                                           phi[self.loop])
+        N = self.ops.M_bulk.multiply(d_b[None, :]) \
             + self.P.T @ self.ops.M_bdry.multiply(d_g[None, :]) @ self.P
-        return sp.bmat([[self.A11, self.A12, None],
-                        [A21, self.A22, self.A23],
-                        [self.A31, None, self.A33]], format="csc")
+        return self.L + self.E @ N @ self.E_phi.T
 
     def direction(self, phi, r, fresh=False):
         """Newton direction for residual ``r``; returns ``(dx, factored)``.
@@ -371,27 +392,6 @@ class _StepWorkspace:
             self._lu = None
 
 
-def _residual(work, state, fn, gn, phi, mu, w):
-    ops, pair, params = work.ops, work.pair, work.params
-    h, tau, sigma, eps = params.h, params.tau, params.sigma, params.eps
-    loop = work.loop
-    psi = phi[loop]
-    dphi = phi - state.phi
-    dpsi = psi - state.psi
-    r1 = ops.M_bulk @ (dphi / h + (mu - state.mu)) + ops.K_bulk @ mu
-    nl_b = graphs.yosida_bulk(pair.bulk, eps, phi) + pair.bulk_pi(phi) - fn
-    r2 = (tau / h) * (ops.M_bulk @ dphi) + ops.K_bulk @ phi \
-        + ops.M_bulk @ nl_b - ops.M_bulk @ mu
-    nl_g = graphs.yosida_boundary(pair.boundary, eps, pair.rho, psi) \
-        + pair.boundary_pi(psi) - gn
-    r2[loop] += (sigma / h) * (ops.M_bdry @ dpsi) + ops.K_bdry @ psi \
-        + ops.M_bdry @ nl_g - ops.M_bdry @ w
-    r3 = ops.M_bdry @ (dpsi / h + (w - state.w)) + ops.K_bdry @ w
-    total = float(r1 @ r1 + r2 @ r2 + r3 @ r3)
-    rms = math.sqrt(total / (2 * work.nb + work.ng))
-    return np.concatenate([r1, r2, r3]), rms
-
-
 def solve_step(state, data, params, ops, fn=None, gn=None, work=None):
     """Advance one time level.
 
@@ -405,10 +405,11 @@ def solve_step(state, data, params, ops, fn=None, gn=None, work=None):
     if gn is None:
         gn = average_source(data.g, state.n, params.h, ops.mesh.n_bdry)
 
-    h = params.h
+    h, nb = params.h, work.nb
     tol_inner = 0.25 * params.newton_tol
-    phi, mu, w = state.phi.copy(), state.mu.copy(), state.w.copy()
-    r, rms = _residual(work, state, fn, gn, phi, mu, w)
+    b = work.load(state, fn, gn)
+    x = np.concatenate([state.phi, state.mu, state.w])
+    r, rms = work.residual(x, b)
     iters = 0
     linsolves = 0
     refactors = 0
@@ -418,24 +419,21 @@ def solve_step(state, data, params, ops, fn=None, gn=None, work=None):
         if iters >= params.newton_max:
             raise NewtonFailure("no convergence in %d iterations"
                                 % params.newton_max, residual=rms)
-        dx, fresh = work.direction(phi, r)
+        dx, fresh = work.direction(x[:nb], r)
         linsolves += 1
         refactors += fresh
         alpha = 1.0
         while True:
-            cand = (phi + alpha * dx[:work.nb],
-                    mu + alpha * dx[work.nb:2 * work.nb],
-                    w + alpha * dx[2 * work.nb:])
-            r_c, rms_c = _residual(work, state, fn, gn, *cand)
+            x_c = x + alpha * dx
+            r_c, rms_c = work.residual(x_c, b)
             if rms_c < rms or rms_c <= tol_inner:
                 work.observe(rms, rms_c)
-                phi, mu, w = cand
-                r, rms = r_c, rms_c
+                x, r, rms = x_c, r_c, rms_c
                 break
             alpha *= 0.5
             if alpha < 0.25 and not fresh:
                 # stale LU produced a poor direction; rebuild and retry
-                dx, fresh = work.direction(phi, r, fresh=True)
+                dx, fresh = work.direction(x[:nb], r, fresh=True)
                 linsolves += 1
                 refactors += 1
                 alpha = 1.0
@@ -446,11 +444,12 @@ def solve_step(state, data, params, ops, fn=None, gn=None, work=None):
 
     # re-solve the two linear balances exactly; this pins the augmented
     # mean values at rounding level independently of the Newton tolerance
+    phi = x[:nb].copy()  # a view would keep all of x alive in the state
     mu = diskfem.inv_neumann_shifted(ops, state.mu - (phi - state.phi) / h)
     w = diskfem.inv_shifted_bdry(
         ops, state.w - (phi[work.loop] - state.psi) / h)
     linsolves += 2
-    _, rms = _residual(work, state, fn, gn, phi, mu, w)
+    _, rms = work.residual(np.concatenate([phi, mu, w]), b)
     if not rms <= params.newton_tol:
         raise NewtonFailure("post-enforcement residual %.3e above tolerance"
                             % rms, residual=rms)

@@ -277,3 +277,29 @@ class TestMain:
         mpath = tmp_path / "m.mesh"
         diskfem.save_mesh(mesh, mpath)
         assert cli.main(["mesh-info", "--mesh-file", str(mpath)]) == 0
+
+    @pytest.mark.parametrize("body,args", (
+        (TINY.replace("mesh_rings = 3", "mesh_rings = 0"), ["run"]),
+        (TINY.replace("mesh_sectors = 12", "mesh_sectors = 2"), ["run"]),
+        (TINY, ["run", "--config", "missing.cfg"]),
+        (TINY + "mesh_file = missing.mesh\n", ["run"]),
+        (TINY, ["sweep", "--axis", "eps", "--ladder", "0.2,0.1,abc"]),
+        (TINY, ["sweep", "--axis", "eps", "--ladder", "0.4,0.2,0.1",
+                "--workers", "0"]),
+        (TINY, ["sweep", "--axis", "eps", "--ladder", "0.4,0.2,0.1",
+                "--workers", "-3"])),
+        ids=("rings-0", "sectors-2", "missing-config", "missing-mesh-file",
+             "ladder-not-numeric", "workers-0", "workers-negative"))
+    def test_bad_input_exit_2_with_message(self, tmp_path, capsys, body,
+                                           args):
+        # "missing" names a file in tmp_path that does not exist
+        body = body.replace("missing", str(tmp_path / "missing"))
+        path = write_config(tmp_path, body)
+        args = [a.replace("missing", str(tmp_path / "missing"))
+                for a in args]
+        if "--config" not in args:
+            args += ["--config", path]
+        code = cli.main(args + ["--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert (captured.out + captured.err).strip()

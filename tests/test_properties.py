@@ -5,6 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chbs import cli, diagnostics, diskfem, graphs, stepper
 
@@ -150,3 +151,30 @@ def test_checkpoint_loader_rejects_garbage(tmp_path):
     path.write_text("state 0 zero\n1 2\n3 4\n5 6\n7 8\n")
     with pytest.raises(ParseError):
         stepper.load_states(str(path))
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(rings=st.integers(2, 4), sectors=st.integers(8, 16),
+       kind=st.sampled_from(("regular", "log", "obstacle")),
+       eps=st.floats(0.05, 1.0), guard_share=st.floats(0.05, 0.95),
+       amp=st.floats(0.05, 0.9), seed=st.integers(0, 2 ** 16))
+def test_steps_conserve_means_and_dissipate(rings, sectors, kind, eps,
+                                            guard_share, amp, seed):
+    # source-free steps inside the step guard: the augmented means stay
+    # put on both sides and the Lyapunov value does not rise
+    ops = diskfem.assemble(diskfem.gen_disk_mesh(rings, sectors))
+    pair = graphs.preset_pair(kind)
+    probe = stepper.SchemeParams(h=1.0, t_final=1.0, eps=eps)
+    h = guard_share * stepper.step_guard(probe, pair).h_max
+    params = stepper.SchemeParams(h=h, t_final=4 * h, eps=eps)
+    gen = np.random.default_rng(seed)
+    phi0 = amp * gen.uniform(-1.0, 1.0, ops.mesh.n_bulk)
+    data = stepper.problem_data(ops, phi0, pair)
+    assert stepper.validate(data, params, ops).ok
+    traj = stepper.run(data, params, ops)
+    assert traj.ok
+    aug = [(diskfem.mean(ops.bulk, s.phi + h * s.mu),
+            diskfem.mean(ops.bdry, s.psi + h * s.w)) for s in traj.states]
+    assert np.abs(np.array(aug) - aug[0]).max() <= 1e-9
+    lyap = [diagnostics.lyapunov(s, pair, eps, h, ops) for s in traj.states]
+    assert max(b - a for a, b in zip(lyap, lyap[1:])) <= 1e-10

@@ -112,6 +112,16 @@ class TestValidate:
         assert not rep.ok
         assert any("node 3" in v for v in rep.violations)
 
+    def test_short_psi0_reports_violation(self, tiny_ops):
+        pair = graphs.preset_pair("regular")
+        data = stepper.problem_data(tiny_ops, np.zeros(tiny_ops.mesh.n_bulk),
+                                    pair)
+        data.psi0 = data.psi0[:-1]
+        params = stepper.SchemeParams(h=1e-3, t_final=1e-2)
+        rep = stepper.validate(data, params, tiny_ops)
+        assert not rep.ok
+        assert any("trace" in v for v in rep.violations)
+
     def test_infinite_initial_energy_fails(self, tiny_ops):
         pair = graphs.preset_pair("obstacle")
         phi0 = np.zeros(tiny_ops.mesh.n_bulk)
@@ -250,20 +260,39 @@ class TestSolveStep:
 
     @pytest.mark.parametrize("kind", ("regular", "log", "obstacle"))
     def test_phi_jacobian_block_positive(self, tiny_ops, kind):
-        # symmetrized order-parameter block of the Newton matrix stays
-        # positive definite inside the step-size guard
+        # symmetrized order-parameter block of the matrix the solver
+        # factors stays positive definite inside the step-size guard
         data, params = tiny_problem(tiny_ops, kind)
         work = stepper._StepWorkspace(tiny_ops, data.pair, params)
-        phi = data.phi0
-        d_b = graphs.yosida_bulk_prime(data.pair.bulk, params.eps, phi)
-        d_g = graphs.yosida_boundary_prime(
-            data.pair.boundary, params.eps, data.pair.rho, phi[work.loop])
-        A = (work.A21_const
-             + tiny_ops.M_bulk.multiply(d_b[None, :])
-             + work.P.T @ tiny_ops.M_bdry.multiply(d_g[None, :]) @ work.P)
-        A = A.toarray()
+        nb = tiny_ops.mesh.n_bulk
+        A = work.jacobian_matrix(data.phi0)[nb:2 * nb, :nb].toarray()
         eigs = np.linalg.eigvalsh(0.5 * (A + A.T))
         assert eigs.min() > 0.0
+
+    @pytest.mark.parametrize("kind", ("regular", "log", "obstacle"))
+    def test_jacobian_matches_residual(self, tiny_ops, kind):
+        # directional difference quotient of the residual against J v; the
+        # obstacle state has nodes on both sides of +-1 but none near the
+        # kinks, where the residual is not differentiable
+        data, params = tiny_problem(tiny_ops, kind)
+        work = stepper._StepWorkspace(tiny_ops, data.pair, params)
+        nb, ng = tiny_ops.mesh.n_bulk, tiny_ops.mesh.n_bdry
+        gen = np.random.default_rng(11)
+        phi = gen.uniform(-0.7, 0.7, nb)
+        if kind == "obstacle":
+            phi[::3] = 1.4
+            phi[1::4] = -1.3
+        state = stepper.initial_state(data, tiny_ops)
+        b = work.load(state, gen.uniform(-1, 1, nb), gen.uniform(-1, 1, ng))
+        x = np.concatenate([phi, gen.uniform(-1, 1, nb + ng)])
+        v = gen.uniform(-1, 1, x.size)
+        J = work.jacobian_matrix(phi)
+        assert np.abs((J - work.L) @ v).max() > 0.0
+        delta = 1e-7
+        quotient = (work.residual(x + delta * v, b)[0]
+                    - work.residual(x, b)[0]) / delta
+        assert (np.linalg.norm(quotient - J @ v)
+                <= 1e-6 * np.linalg.norm(J @ v))
 
     def test_newton_failure_carries_residual(self, tiny_ops):
         data, params = tiny_problem(tiny_ops, amp=0.3)
