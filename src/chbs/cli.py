@@ -7,6 +7,7 @@ bit-identical.
 """
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -304,24 +305,17 @@ def cmd_run(cfg, echo=print):
     return code
 
 
-def _sweep_member_configs(cfg, axis, ladder):
-    members = []
-    for val in ladder:
-        if axis == "h":
-            member = replace(cfg, h=val)
-        elif axis == "eps":
-            member = replace(cfg, eps=val)
-        elif axis == "visc":
-            member = replace(cfg, tau=val, sigma=val)
-        else:
-            raise ValueError("unknown sweep axis %r" % axis)
-        members.append(member)
-    return members
+# the config fields a sweep sets to each ladder value, per axis
+_SWEEP_AXES = {"h": ("h",), "eps": ("eps",), "visc": ("tau", "sigma")}
 
 
 def cmd_sweep(cfg, axis, ladder, workers=1, echo=print):
     """Run a decreasing ladder along one axis and emit a convergence table."""
     ladder = list(ladder)
+    if axis not in _SWEEP_AXES:
+        echo("unknown sweep axis %r (expected one of %s)"
+             % (axis, ", ".join(_SWEEP_AXES)))
+        return 2
     if len(ladder) < 3 or any(b >= a for a, b in zip(ladder, ladder[1:])):
         echo("ladder must be strictly decreasing with at least 3 values")
         return 2
@@ -333,7 +327,8 @@ def cmd_sweep(cfg, axis, ladder, workers=1, echo=print):
             if abs(a / b - round(a / b)) > 1e-9:
                 echo("h ladder members must nest (integer ratios)")
                 return 2
-    members = _sweep_member_configs(cfg, axis, ladder)
+    members = [replace(cfg, **dict.fromkeys(_SWEEP_AXES[axis], val))
+               for val in ladder]
     # the sweep axes (h, eps, viscosities) never change the mesh, so all
     # members and the post-processing share one set of operators
     ops = diskfem.assemble(build_mesh(cfg))
@@ -352,88 +347,64 @@ def cmd_sweep(cfg, axis, ladder, workers=1, echo=print):
             results = list(pool.map(run_member, jobs))
     else:
         results = [run_member(job) for job in jobs]
-
-    rows = []
-    trajs = []
-    any_failed = False
-    for (member, out), (code, traj) in zip(jobs, results):
-        trajs.append(traj if code in (0, 3) else None)
-        if code != 0:
-            any_failed = True
-        row = {"value": getattr(member, "h" if axis == "h" else
-                                ("eps" if axis == "eps" else "tau")),
-               "status": code}
-        if traj is not None and traj.ok:
-            m0 = diskfem.mean_bulk(ops, traj.states[0].phi)
-            row["mass_gap"] = abs(
-                diskfem.mean_bulk(ops, traj.states[-1].phi) - m0)
-            if axis == "eps":
-                row["violation"] = diagnostics.obstacle_violation(traj).max
-                pair = build_pair(member)
-                row["apriori_max"] = diagnostics.apriori_monitor(
-                    traj, pair, build_params(member), ops).max_value()
-        rows.append(row)
+    # exit code 0 is exactly a finished run with every step converged
+    trajs = [traj if code == 0 else None for code, traj in results]
 
     dists = []
-    for i in range(len(trajs) - 1):
-        a, b = trajs[i], trajs[i + 1]
-        if a is None or b is None or not (a.ok and b.ok):
-            dists.append(None)
-            continue
-        try:
-            rep = diagnostics.cauchy_distance(a, b, ops)
-        except GridMismatch as exc:
-            echo("distance %d/%d skipped: %s" % (i, i + 1, exc))
-            dists.append(None)
-            continue
+    for i, (a, b) in enumerate(zip(trajs, trajs[1:])):
+        rep = None
+        if a is not None and b is not None:
+            try:
+                rep = diagnostics.cauchy_distance(a, b, ops)
+            except GridMismatch as exc:
+                echo("distance %d/%d skipped: %s" % (i, i + 1, exc))
         dists.append(rep)
 
-    finite = [d.c_h for d in dists if d is not None]
-    if finite and max(finite) < 1e-14:
+    c_h = [d.c_h for d in dists if d is not None]
+    logs = [(math.log(ladder[i]), math.log(d.c_h))
+            for i, d in enumerate(dists) if d is not None and d.c_h > 0]
+    if c_h and max(c_h) < 1e-14:
         rate_text = "exact"
-    elif len([d for d in dists if d is not None]) >= 2:
-        logs = [(math.log(ladder[i]), math.log(d.c_h))
-                for i, d in enumerate(dists) if d is not None and d.c_h > 0]
-        if len(logs) >= 2:
-            xs = np.array([p[0] for p in logs])
-            ys = np.array([p[1] for p in logs])
-            rate = float(np.polyfit(xs, ys, 1)[0])
-            rate_text = "%.17g" % rate
-        else:
-            rate_text = "exact"
-    else:
+    elif len(c_h) < 2:
         rate_text = "n/a"
+    elif len(logs) < 2:
+        rate_text = "exact"
+    else:
+        xs, ys = np.array(logs).T
+        rate_text = "%.17g" % float(np.polyfit(xs, ys, 1)[0])
 
     table_path = os.path.join(out_root, "table.csv")
-    cols = ["value", "status", "mass_gap", "violation", "apriori_max",
-            "c_h", "l2v"]
     with open(table_path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i, row in enumerate(rows):
-            d = dists[i] if i < len(dists) else None
-            vals = [
-                "%.17g" % row["value"],
-                "%d" % row["status"],
-                "%.17g" % row["mass_gap"] if "mass_gap" in row else "",
-                "%.17g" % row["violation"] if "violation" in row else "",
-                "%.17g" % row["apriori_max"] if "apriori_max" in row else "",
-                "%.17g" % d.c_h if d is not None else "",
-                "%.17g" % d.l2v if d is not None else "",
-            ]
-            fh.write(",".join(vals) + "\n")
+        fh.write("value,status,mass_gap,violation,apriori_max,c_h,l2v\n")
+        for val, member, (code, _), traj, d in zip(ladder, members, results,
+                                                   trajs, dists + [None]):
+            cells = [None] * 5
+            if traj is not None:
+                cells[0] = abs(diskfem.mean_bulk(ops, traj.states[-1].phi)
+                               - diskfem.mean_bulk(ops, traj.states[0].phi))
+                if axis == "eps":
+                    cells[1] = diagnostics.obstacle_violation(traj).max
+                    cells[2] = diagnostics.apriori_monitor(
+                        traj, build_pair(member), build_params(member),
+                        ops).max_value()
+            if d is not None:
+                cells[3:] = d.c_h, d.l2v
+            fh.write("%.17g,%d,%s\n" % (val, code, ",".join(
+                "" if x is None else "%.17g" % x for x in cells)))
         fh.write("# fitted_rate=%s\n" % rate_text)
     echo("sweep axis=%s rate=%s table=%s" % (axis, rate_text, table_path))
     for i, d in enumerate(dists):
         if d is not None:
             echo("  pair %d-%d: c_h=%.6g l2v=%.6g" % (i, i + 1, d.c_h, d.l2v))
-    return 1 if any_failed else 0
+    return 1 if any(t is None for t in trajs) else 0
 
 
 def cmd_contdep(cfg_a, cfg_b, echo=print):
     """Run a perturbation pair and test the stability ratio."""
-    for name in ("mesh_rings", "mesh_sectors", "mesh_file", "potential",
-                 "c1", "c2", "rho", "c0", "tau", "sigma", "eps", "h",
-                 "t_final", "stride"):
+    # both runs use cfg_a's mesh, pair and scheme parameters
+    for name in (f.name for f in dataclasses.fields(RunConfig)):
+        if name in ("ic", "source_f", "source_g", "out_dir"):
+            continue
         if getattr(cfg_a, name) != getattr(cfg_b, name):
             echo("configs must differ only in initial data and sources "
                  "(field %r differs)" % name)
@@ -468,13 +439,12 @@ def cmd_contdep(cfg_a, cfg_b, echo=print):
 
 
 def _selftest_graphs():
-    eps_grid = (0.5, 0.1, 0.02)
     for name in ("regular", "log", "obstacle"):
         pair = graphs.preset_pair(name)
         g = pair.bulk
         span = 1.2 if name == "log" else 2.5
         pts = np.linspace(-span, span, 33)
-        for eps in eps_grid:
+        for eps in graphs.COMPAT_EPS_GRID:
             for r in pts:
                 j = graphs.resolvent(g, eps, float(r))
                 jb = reference.resolvent_bisect(g, eps, float(r))
@@ -560,19 +530,19 @@ def _selftest_conservation():
     traj = stepper.run(data, params, ops)
     if not traj.ok:
         return False, "run failed"
-    m0 = diskfem.mean_bulk(ops, traj.states[0].phi)
-    mg0 = diskfem.mean_bdry(ops, traj.states[0].psi)
-    drift = max(abs(diskfem.mean_bulk(ops, s.phi + params.h * s.mu) - m0)
-                for s in traj.states)
-    driftg = max(abs(diskfem.mean_bdry(ops, s.psi + params.h * s.w) - mg0)
-                 for s in traj.states)
-    if drift > 1e-9 or driftg > 1e-9:
-        return False, "mass drift %.3e / %.3e" % (drift, driftg)
+    drifts = []
+    for part, val, pot in diagnostics.sides(ops):
+        m0 = diskfem.mean(part, getattr(traj.states[0], val))
+        drifts.append(max(abs(diskfem.mean(part, getattr(s, val)
+                                           + params.h * getattr(s, pot)) - m0)
+                          for s in traj.states))
+    if any(d > 1e-9 for d in drifts):
+        return False, "mass drift %.3e / %.3e" % tuple(drifts)
     lyap = [diagnostics.lyapunov(s, pair, params.eps, params.h, ops)
             for s in traj.states]
     if any(b > a + 1e-10 for a, b in zip(lyap, lyap[1:])):
         return False, "dissipation violated"
-    return True, "mass drift %.3e / %.3e, dissipation ok" % (drift, driftg)
+    return True, "mass drift %.3e / %.3e, dissipation ok" % tuple(drifts)
 
 
 def cmd_selftest(mesh_file=None, echo=print):
@@ -632,7 +602,7 @@ def main(argv=None):
 
     p_sweep = sub.add_parser("sweep", help="ladder sweep along one axis")
     p_sweep.add_argument("--config", default=None)
-    p_sweep.add_argument("--axis", choices=("h", "eps", "visc"),
+    p_sweep.add_argument("--axis", choices=tuple(_SWEEP_AXES),
                          required=True)
     p_sweep.add_argument("--ladder", required=True,
                          help="comma-separated decreasing values")

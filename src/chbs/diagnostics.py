@@ -132,6 +132,17 @@ class AprioriReport:
         return max(self.as_dict().values())
 
 
+def sides(ops):
+    """The (part, value field, potential field) triple of each side, bulk
+    first; the fields are attribute names of a scheme state."""
+    return ((ops.bulk, "phi", "mu"), (ops.bdry, "psi", "w"))
+
+
+def _interleave(bulk, bdry):
+    """Alternate the per-side values: bulk[0], bdry[0], bulk[1], ..."""
+    return [x for pair in zip(bulk, bdry) for x in pair]
+
+
 def apriori_monitor(traj, pair, params, ops):
     """Running suprema and dissipation sums along a trajectory.
 
@@ -143,37 +154,22 @@ def apriori_monitor(traj, pair, params, ops):
         raise ValueError("empty trajectory")
     states = traj.states
     h = params.h
-    sup_phi = sup_psi = 0.0
-    sup_mu = sup_w = 0.0
-    sup_env_b = sup_env_g = 0.0
-    diss_b = diss_g = 0.0
-    for k in range(1, len(states)):
-        s = states[k]
-        sup_phi = max(sup_phi, diskfem.norms_bulk(ops, s.phi)["h1"] ** 2)
-        sup_psi = max(sup_psi, diskfem.norms_bdry(ops, s.psi)["h1"] ** 2)
-        sup_mu = max(sup_mu, float(s.mu @ (ops.M_bulk @ s.mu)))
-        sup_w = max(sup_w, float(s.w @ (ops.M_bdry @ s.w)))
-        env_b = float(ops.bulk.lumped
-                      @ graphs.moreau_envelope(pair.bulk, params.eps, s.phi))
-        env_g = float(ops.bdry.lumped
-                      @ graphs.moreau_envelope(pair.boundary,
-                                               params.eps * pair.rho, s.psi))
-        sup_env_b = max(sup_env_b, env_b)
-        sup_env_g = max(sup_env_g, env_g)
-        dphi = s.phi - states[k - 1].phi
-        dpsi = s.psi - states[k - 1].psi
-        diss_b += float(dphi @ (ops.M_bulk @ dphi)) / h
-        diss_g += float(dpsi @ (ops.M_bdry @ dpsi)) / h
-    return AprioriReport(
-        sup_phi_h1_sq=sup_phi,
-        sup_psi_h1_sq=sup_psi,
-        visc_bulk_dissipation=params.tau * diss_b,
-        visc_bdry_dissipation=params.sigma * diss_g,
-        h_sup_mu_l2_sq=h * sup_mu,
-        h_sup_w_l2_sq=h * sup_w,
-        sup_env_bulk=sup_env_b,
-        sup_env_bdry=sup_env_g,
-    )
+    per_side = []
+    for (part, val, pot), graph, eps_eff, visc in zip(
+            sides(ops), (pair.bulk, pair.boundary),
+            (params.eps, params.eps * pair.rho), (params.tau, params.sigma)):
+        sup_h1 = sup_pot = sup_env = diss = 0.0
+        for prev, s in zip(states, states[1:]):
+            v, u = getattr(s, val), getattr(s, pot)
+            sup_h1 = max(sup_h1, diskfem.norms(part, v)["h1"] ** 2)
+            sup_pot = max(sup_pot, float(u @ (part.M @ u)))
+            sup_env = max(sup_env, float(
+                part.lumped @ graphs.moreau_envelope(graph, eps_eff, v)))
+            dv = v - getattr(prev, val)
+            diss += float(dv @ (part.M @ dv)) / h
+        per_side.append((sup_h1, visc * diss, h * sup_pot, sup_env))
+    # the report's fields alternate bulk and boundary
+    return AprioriReport(*_interleave(*per_side))
 
 
 @dataclass
@@ -213,53 +209,39 @@ def cont_dep(trajA, trajB, dataA, dataB, ops):
     against constants).
     """
     _check_same_grid(trajA, trajB)
-    m_b = abs(diskfem.mean_bulk(ops, dataA.phi0)
-              - diskfem.mean_bulk(ops, dataB.phi0))
-    m_g = abs(diskfem.mean_bdry(ops, dataA.psi0)
-              - diskfem.mean_bdry(ops, dataB.psi0))
-    if m_b > 1e-10 or m_g > 1e-10:
+    gaps = [abs(diskfem.mean(part, getattr(dataA, val + "0"))
+                - diskfem.mean(part, getattr(dataB, val + "0")))
+            for part, val, _ in sides(ops)]
+    if any(gap > 1e-10 for gap in gaps):
         raise MeanMismatch("initial mean gap bulk=%.3e boundary=%.3e"
-                           % (m_b, m_g))
+                           % tuple(gaps))
     tA = trajA.times()
     h_rec = float(tA[1] - tA[0]) if len(tA) > 1 else trajA.params.h
-
-    sup_dual_b = sup_dual_g = 0.0
-    int_h1_b = int_h1_g = 0.0
-    for k, (sA, sB) in enumerate(zip(trajA.states, trajB.states)):
-        dphi = sA.phi - sB.phi
-        dpsi = sA.psi - sB.psi
-        sup_dual_b = max(sup_dual_b, diskfem.dual_norm(ops.bulk, dphi))
-        sup_dual_g = max(sup_dual_g, diskfem.dual_norm(ops.bdry, dpsi))
-        if k >= 1:
-            int_h1_b += h_rec * diskfem.norms_bulk(ops, dphi)["h1"] ** 2
-            int_h1_g += h_rec * diskfem.norms_bdry(ops, dpsi)["h1"] ** 2
-    lhs_terms = {
-        "sup_dual_bulk": sup_dual_b,
-        "sup_dual_bdry": sup_dual_g,
-        "l2_h1_bulk": math.sqrt(int_h1_b),
-        "l2_h1_bdry": math.sqrt(int_h1_g),
-    }
-
     h = trajA.params.h
-    n_steps = trajA.params.n_steps
-    dphi0 = dataA.phi0 - dataB.phi0
-    dpsi0 = dataA.psi0 - dataB.psi0
-    src_b = src_g = 0.0
-    for n in range(n_steps):
-        df = stepper.average_source(dataA.f, n, h, ops.mesh.n_bulk) \
-            - stepper.average_source(dataB.f, n, h, ops.mesh.n_bulk)
-        dg = stepper.average_source(dataA.g, n, h, ops.mesh.n_bdry) \
-            - stepper.average_source(dataB.g, n, h, ops.mesh.n_bdry)
-        if np.any(df):
-            src_b += h * _dual_style(ops.bulk, df) ** 2
-        if np.any(dg):
-            src_g += h * _dual_style(ops.bdry, dg) ** 2
-    rhs_terms = {
-        "dual_phi0": diskfem.dual_norm(ops.bulk, dphi0),
-        "dual_psi0": diskfem.dual_norm(ops.bdry, dpsi0),
-        "l2_dual_f": math.sqrt(src_b),
-        "l2_dual_g": math.sqrt(src_g),
-    }
+    lhs_sides, rhs_sides = [], []
+    for (part, val, _), src in zip(sides(ops), ("f", "g")):
+        sup_dual = int_h1 = 0.0
+        for k, (sA, sB) in enumerate(zip(trajA.states, trajB.states)):
+            dv = getattr(sA, val) - getattr(sB, val)
+            sup_dual = max(sup_dual, diskfem.dual_norm(part, dv))
+            if k >= 1:
+                int_h1 += h_rec * diskfem.norms(part, dv)["h1"] ** 2
+        src_sq = 0.0
+        for n in range(trajA.params.n_steps):
+            ds = stepper.average_source(getattr(dataA, src), n, h,
+                                        part.lumped.size) \
+                - stepper.average_source(getattr(dataB, src), n, h,
+                                         part.lumped.size)
+            if np.any(ds):
+                src_sq += h * _dual_style(part, ds) ** 2
+        dv0 = getattr(dataA, val + "0") - getattr(dataB, val + "0")
+        lhs_sides.append((sup_dual, math.sqrt(int_h1)))
+        rhs_sides.append((diskfem.dual_norm(part, dv0), math.sqrt(src_sq)))
+    # this key order is the summation order of lhs and rhs
+    lhs_terms = dict(zip(("sup_dual_bulk", "sup_dual_bdry", "l2_h1_bulk",
+                          "l2_h1_bdry"), _interleave(*lhs_sides)))
+    rhs_terms = dict(zip(("dual_phi0", "dual_psi0", "l2_dual_f",
+                          "l2_dual_g"), _interleave(*rhs_sides)))
     lhs = sum(lhs_terms.values())
     rhs = sum(rhs_terms.values())
     ratio = lhs / rhs if rhs > 0.0 else None
@@ -292,19 +274,17 @@ def cauchy_distance(trajA, trajB, ops):
         raise GridMismatch("trajectories live on different meshes")
     k = NB // NA
     h = float(trajA.times()[1] - trajA.times()[0])
-    c_h = l2v = 0.0
-    c_hg = l2vg = 0.0
-    for n in range(NA + 1):
-        nb = diskfem.norms_bulk(ops, trajA.states[n].phi
-                                - trajB.states[k * n].phi)
-        ng = diskfem.norms_bdry(ops, trajA.states[n].psi
-                                - trajB.states[k * n].psi)
-        c_h = max(c_h, nb["l2"])
-        c_hg = max(c_hg, ng["l2"])
-        if n >= 1:
-            l2v += h * nb["h1"] ** 2
-            l2vg += h * ng["h1"] ** 2
-    return CauchyReport(c_h, math.sqrt(l2v), c_hg, math.sqrt(l2vg))
+    out = []
+    for part, val, _ in sides(ops):
+        sup_l2 = int_h1 = 0.0
+        for n in range(NA + 1):
+            nrm = diskfem.norms(part, getattr(trajA.states[n], val)
+                                - getattr(trajB.states[k * n], val))
+            sup_l2 = max(sup_l2, nrm["l2"])
+            if n >= 1:
+                int_h1 += h * nrm["h1"] ** 2
+        out += [sup_l2, math.sqrt(int_h1)]
+    return CauchyReport(*out)
 
 
 @dataclass
@@ -319,11 +299,10 @@ class ViolationReport:
 
 def obstacle_violation(traj):
     """Largest overshoot of the unit box over all states and nodes."""
-    vb = vg = 0.0
-    for s in traj.states:
-        vb = max(vb, float(np.maximum(np.abs(s.phi) - 1.0, 0.0).max()))
-        vg = max(vg, float(np.maximum(np.abs(s.psi) - 1.0, 0.0).max()))
-    return ViolationReport(vb, vg)
+    return ViolationReport(*(
+        max([0.0] + [float(np.maximum(np.abs(getattr(s, val)) - 1.0,
+                                      0.0).max()) for s in traj.states])
+        for val in ("phi", "psi")))
 
 
 def interpolant_gap_identity(traj, ops):

@@ -21,6 +21,12 @@ from .errors import IterationFailure, OutOfDomain
 
 RESOLVENT_TOL = 1e-12
 RESOLVENT_MAX_ITER = 200
+# regularizations at which pair compatibility is sampled and fitted
+COMPAT_EPS_GRID = (0.5, 0.1, 0.02)
+# points of the scans that fit c0 and bound the minimal sections; open
+# domain endpoints are inset by SCAN_INSET
+SCAN_SAMPLES = 2001
+SCAN_INSET = 1e-9
 
 REGULAR = "regular"
 LOG = "log"
@@ -205,12 +211,11 @@ def preset_pair(name, c1=2.0, c2=1.0, rho=None, c0=None):
     )
 
 
-def mixed_pair(bulk_kind, boundary_kind, c1=2.0, c2=1.0, rho=None, c0=None,
-               eps_grid=(0.5, 0.1, 0.02), samples=2001):
+def mixed_pair(bulk_kind, boundary_kind, c1=2.0, c2=1.0, rho=None, c0=None):
     """Build a pair with different bulk and boundary families.
 
     When ``rho``/``c0`` are not given they are fitted by sampling the two
-    Yosida maps over the compatibility grid and taking the worst gap (plus
+    Yosida maps over ``COMPAT_EPS_GRID`` and taking the worst gap (plus
     a small slack).  The fitted constants are not unique; any larger pair
     works as well.
     """
@@ -222,9 +227,9 @@ def mixed_pair(bulk_kind, boundary_kind, c1=2.0, c2=1.0, rho=None, c0=None,
         rho = 1.0
     if c0 is None:
         worst = 0.0
-        for eps in eps_grid:
+        for eps in COMPAT_EPS_GRID:
             span = _sample_span(bulk, bdry, eps, float(rho))
-            r = np.linspace(-span, span, samples)
+            r = np.linspace(-span, span, SCAN_SAMPLES)
             gap = np.abs(_yosida(bulk, eps, r)) \
                 - rho * np.abs(_yosida(bdry, eps * rho, r))
             worst = max(worst, float(gap.max()))
@@ -437,18 +442,18 @@ def check_compatibility(pair, eps, samples):
                         eps=eps, rho=pair.rho, c0=pair.c0)
 
 
-def check_minimal_sections(pair, samples=2001, inset=1e-9):
+def check_minimal_sections(pair):
     """Sample the minimal-section bound over the boundary-graph domain.
 
-    Open domain endpoints are inset by ``inset``.  Returns the worst
+    Open domain endpoints are inset by ``SCAN_INSET``.  Returns the worst
     margin (positive means violated).
     """
     lo = pair.boundary.lo if math.isfinite(pair.boundary.lo) else -3.0
     hi = pair.boundary.hi if math.isfinite(pair.boundary.hi) else 3.0
     if not pair.boundary.closed:
-        lo, hi = lo + inset, hi - inset
+        lo, hi = lo + SCAN_INSET, hi - SCAN_INSET
     worst = -math.inf
-    for r in np.linspace(lo, hi, samples):
+    for r in np.linspace(lo, hi, SCAN_SAMPLES):
         m = abs(minimal_section(pair.bulk, r)) \
             - pair.rho * abs(minimal_section(pair.boundary, r)) - pair.c0
         worst = max(worst, m)

@@ -23,6 +23,8 @@ from .errors import (IterationFailure, LinSolveFailure, NewtonFailure,
 
 _GAUSS3_NODES = (-math.sqrt(0.6), 0.0, math.sqrt(0.6))
 _GAUSS3_WEIGHTS = (5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0)
+# decreasing regularizations of the strong compatibility check
+STRONG_EPS_LADDER = (0.4, 0.2, 0.1, 0.05)
 
 
 @dataclass
@@ -206,17 +208,16 @@ def initial_state(data, ops):
                        diskfem.trace(ops, phi), np.zeros(ops.mesh.n_bdry))
 
 
-def validate(data, params, ops, strong=False,
-             strong_eps_ladder=(0.4, 0.2, 0.1, 0.05)):
+def validate(data, params, ops, strong=False):
     """Check the admissibility of problem data and parameters.
 
     Sources must have one finite value per node: array sources are checked
     once, callable ones at every quadrature node of the run.
     With ``strong=True`` additionally evaluates the compatibility
     expression  -Lap(phi0) + beta_eps(phi0) + pi(phi0) - f(0)  in the
-    discrete H1 norm over a decreasing regularization ladder and reports
-    whether those norms plateau (relative growth of the last rung below
-    ten percent).
+    discrete H1 norm over the regularizations ``STRONG_EPS_LADDER`` and
+    reports whether those norms plateau (relative growth of the last rung
+    below ten percent).
     """
     param_violations = params.check()
     violations = list(param_violations)
@@ -270,7 +271,7 @@ def validate(data, params, ops, strong=False,
         lap = ops.mass_bulk_solver().solve(ops.K_bulk @ phi0,
                                            "mass solve")
         norms = []
-        for eps in strong_eps_ladder:
+        for eps in STRONG_EPS_LADDER:
             e = lap + graphs.yosida_bulk(pair.bulk, eps, phi0) \
                 + pair.bulk_pi(phi0) - f0
             norms.append(diskfem.norms_bulk(ops, e)["h1"])

@@ -186,15 +186,18 @@ class TestCmdRun:
 
 
 class TestCmdSweep:
-    def test_stationary_ladder_exact(self, tmp_path):
+    @pytest.mark.parametrize("axis,ladder", (("h", [4e-3, 2e-3, 1e-3]),
+                                             ("eps", [0.5, 0.25, 0.125]),
+                                             ("visc", [0.4, 0.2, 0.1])),
+                             ids=("h", "eps", "visc"))
+    def test_stationary_ladder_exact(self, tmp_path, axis, ladder):
         body = ("mesh_rings = 3\nmesh_sectors = 12\nic = constant(0)\n"
                 "t_final = 0.008\neps = 0.5\n")
         cfg = cli.parse_config(write_config(tmp_path, body))
         import dataclasses
         cfg = dataclasses.replace(cfg, out_dir=str(tmp_path / "sweep"))
         msgs = []
-        code = cli.cmd_sweep(cfg, "h", [4e-3, 2e-3, 1e-3],
-                             echo=msgs.append)
+        code = cli.cmd_sweep(cfg, axis, ladder, echo=msgs.append)
         assert code == 0
         table = (tmp_path / "sweep" / "table.csv").read_text()
         assert "fitted_rate=exact" in table
@@ -206,6 +209,8 @@ class TestCmdSweep:
         assert cli.cmd_sweep(cfg, "h", [4e-3, 2e-3],
                              echo=lambda *a: None) == 2
         assert cli.cmd_sweep(cfg, "h", [5e-3, 3e-3, 1e-3],
+                             echo=lambda *a: None) == 2
+        assert cli.cmd_sweep(cfg, "tau", [4e-3, 2e-3, 1e-3],
                              echo=lambda *a: None) == 2
 
     def test_member_failures_recorded(self, tmp_path):
@@ -230,10 +235,15 @@ class TestCmdContdep:
         assert any("lhs=0" in m for m in msgs)
 
     def test_differing_solver_fields_rejected(self, tmp_path):
+        # newton_max = 0 fails every step: each order must be rejected up
+        # front, not run with the first config's solver settings
         a = cli.parse_config(write_config(tmp_path, TINY, "a.cfg"))
-        b = cli.parse_config(write_config(tmp_path,
-                                          TINY + "sigma = 0.2\n", "b.cfg"))
-        assert cli.cmd_contdep(a, b, echo=lambda *a: None) == 2
+        for extra in ("sigma = 0.2\n", "newton_max = 0\n"):
+            b = cli.parse_config(write_config(tmp_path, TINY + extra,
+                                              "b.cfg"))
+            for first, second in ((a, b), (b, a)):
+                assert cli.cmd_contdep(first, second,
+                                       echo=lambda *a: None) == 2
 
     def test_mean_shift_rejected(self, tmp_path):
         a = cli.parse_config(write_config(

@@ -116,6 +116,74 @@ class TestApriori:
             assert val <= full.as_dict()[key] + 1e-15
 
 
+class TestBoundarySide:
+    """Boundary entries against dense sums over the boundary M and K, with
+    tau != sigma and rho != 1 so that a swapped side shows."""
+
+    def test_boundary_fields_match_dense_sums(self, tiny_ops):
+        ops = tiny_ops
+        pair = graphs.preset_pair("regular", rho=2.0)
+        pA, pB = (stepper.SchemeParams(h=h, t_final=4e-3, tau=0.1,
+                                       sigma=0.3, eps=0.5)
+                  for h in (2e-3, 1e-3))
+        phi0 = 0.3 * np.random.default_rng(5).uniform(-1.0, 1.0,
+                                                      ops.mesh.n_bulk)
+        xb = ops.mesh.vertices[ops.mesh.boundary_loop, 0]
+        g = 0.2 + 0.1 * xb
+        data = stepper.problem_data(ops, phi0, pair)
+        data_g = stepper.problem_data(ops, phi0, pair, g=g)
+        trajA = stepper.run(data, pA, ops)
+        trajB = stepper.run(data, pB, ops)
+        trajG = stepper.run(data_g, pB, ops)
+        assert trajA.ok and trajB.ok and trajG.ok
+
+        M = ops.bdry.M.toarray()
+        K = ops.bdry.K.toarray()
+        lumped = M.sum(axis=1)
+
+        def mean(v):
+            return lumped @ v / lumped.sum()
+
+        def dual(v):
+            u = np.linalg.lstsq(K, M @ (v - mean(v)), rcond=None)[0]
+            return math.sqrt(u @ K @ u)
+
+        h = pB.h
+        psi = [s.psi for s in trajB.states]
+        w = [s.w for s in trajB.states]
+        rep = diagnostics.apriori_monitor(trajB, pair, pB, ops)
+        assert rep.sup_psi_h1_sq == pytest.approx(
+            max(v @ (M + K) @ v for v in psi[1:]), rel=1e-12)
+        assert rep.visc_bdry_dissipation == pytest.approx(
+            0.3 * sum((b - a) @ M @ (b - a) / h
+                      for a, b in zip(psi, psi[1:])), rel=1e-12)
+        assert rep.h_sup_w_l2_sq == pytest.approx(
+            h * max(v @ M @ v for v in w[1:]), rel=1e-12)
+        assert rep.sup_env_bdry == pytest.approx(
+            max(lumped @ graphs.moreau_envelope(pair.boundary, 1.0, v)
+                for v in psi[1:]), rel=1e-12)
+
+        coarse = [s.psi for s in trajA.states]
+        diffs = [a - b for a, b in zip(coarse, psi[::2])]
+        rep = diagnostics.cauchy_distance(trajA, trajB, ops)
+        assert rep.c_h_bdry == pytest.approx(
+            max(math.sqrt(d @ M @ d) for d in diffs), rel=1e-12)
+        assert rep.l2v_bdry == pytest.approx(
+            math.sqrt(sum(pA.h * d @ (M + K) @ d for d in diffs[1:])),
+            rel=1e-12)
+
+        diffs = [a - s.psi for a, s in zip(psi, trajG.states)]
+        rep = diagnostics.cont_dep(trajB, trajG, data, data_g, ops)
+        assert rep.lhs_terms["sup_dual_bdry"] == pytest.approx(
+            max(dual(d) for d in diffs[1:]), rel=1e-9)
+        assert rep.lhs_terms["l2_h1_bdry"] == pytest.approx(
+            math.sqrt(sum(h * d @ (M + K) @ d for d in diffs[1:])),
+            rel=1e-12)
+        assert rep.rhs_terms["l2_dual_g"] == pytest.approx(
+            math.sqrt(pB.n_steps * h) * (
+                dual(g) + math.sqrt(lumped.sum()) * abs(mean(g))), rel=1e-9)
+
+
 class TestContDep:
     def test_identical_runs(self, tiny_ops):
         data, params, traj = run_tiny(tiny_ops)
