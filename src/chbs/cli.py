@@ -243,37 +243,55 @@ def execute_run(cfg, out_dir=None, echo=print):
                       echo)
 
 
-def execute_on(cfg, ops, out, echo=print):
-    """:func:`execute_run` on operators already assembled from ``cfg``."""
-    os.makedirs(out, exist_ok=True)
-    params = build_params(cfg)
-    data = build_problem(cfg, ops)
-    report = stepper.validate(data, params, ops, strong=cfg.strong_checks)
-    summary = ["config potential=%s mesh=%dx%d h=%.17g t_final=%.17g"
-               % (cfg.potential, cfg.mesh_rings, cfg.mesh_sectors,
-                  cfg.h, cfg.t_final)]
-    if report.strong_norms:
-        summary.append("strong-check norms: "
-                       + " ".join("%.17g" % v for v in report.strong_norms)
-                       + " plateau=%s" % report.strong_plateau)
-    if not report.ok:
-        for v in report.violations:
-            echo("validation: %s" % v)
-        summary.extend("validation: %s" % v for v in report.violations)
-        _write_summary(os.path.join(out, "summary.txt"), summary)
-        return 2, None
-    guard = stepper.step_guard(params, data.pair)
+def _admit(cfg, datas, params, ops, echo):
+    """Validate the problems of one command and evaluate its step guard.
+
+    Returns ``(ok, lines)``: whether the command may run them (exit 2
+    otherwise) and the lines the checks report, each also echoed.
+    Validation is strong when ``cfg.strong_checks`` is set; a violated
+    guard refuses the run when ``cfg.strict_guard`` is set and only warns
+    otherwise.
+    """
+    lines = []
+    for data in datas:
+        report = stepper.validate(data, params, ops,
+                                  strong=cfg.strong_checks)
+        if report.strong_norms:
+            lines.append("strong-check norms: "
+                         + " ".join("%.17g" % v for v in report.strong_norms)
+                         + " plateau=%s" % report.strong_plateau)
+            echo(lines[-1])
+        if not report.ok:
+            for v in report.violations:
+                echo("validation: %s" % v)
+            lines.extend("validation: %s" % v for v in report.violations)
+            return False, lines
+    guard = stepper.step_guard(params, datas[0].pair)
     if not guard.ok:
         msg = ("step guard violated: h=%.3g, h_max=%.3g%s"
                % (params.h, guard.h_max,
                   " (%s)" % guard.reason if guard.reason else ""))
         if cfg.strict_guard:
             echo(msg + " [strict mode: refusing to run]")
-            summary.append(msg + " [strict]")
-            _write_summary(os.path.join(out, "summary.txt"), summary)
-            return 2, None
+            lines.append(msg + " [strict]")
+            return False, lines
         echo("warning: " + msg)
-        summary.append("warning: " + msg)
+        lines.append("warning: " + msg)
+    return True, lines
+
+
+def execute_on(cfg, ops, out, echo=print):
+    """:func:`execute_run` on operators already assembled from ``cfg``."""
+    os.makedirs(out, exist_ok=True)
+    params = build_params(cfg)
+    data = build_problem(cfg, ops)
+    ok, lines = _admit(cfg, [data], params, ops, echo)
+    summary = ["config potential=%s mesh=%dx%d h=%.17g t_final=%.17g"
+               % (cfg.potential, cfg.mesh_rings, cfg.mesh_sectors,
+                  cfg.h, cfg.t_final)] + lines
+    if not ok:
+        _write_summary(os.path.join(out, "summary.txt"), summary)
+        return 2, None
 
     records = []
     hook = diagnostics.record_hook(records, data.pair, params, ops,
@@ -414,12 +432,8 @@ def cmd_contdep(cfg_a, cfg_b, echo=print):
     params = build_params(cfg_a)
     data_a = build_problem(cfg_a, ops)
     data_b = build_problem(cfg_b, ops)
-    for data in (data_a, data_b):
-        rep = stepper.validate(data, params, ops)
-        if not rep.ok:
-            for v in rep.violations:
-                echo("validation: %s" % v)
-            return 2
+    if not _admit(cfg_a, [data_a, data_b], params, ops, echo)[0]:
+        return 2
     traj_a = stepper.run(data_a, params, ops)
     traj_b = stepper.run(data_b, params, ops)
     if not (traj_a.ok and traj_b.ok):

@@ -106,10 +106,19 @@ class SchemeState:
 
 @dataclass
 class StepReport:
-    newton_iters: int
-    final_residual: float
-    linsolves: int
-    refactors: int
+    """Solver counts of one step.
+
+    ``refactors`` counts every factorization of the Newton matrix and
+    ``fallbacks`` the pivoted ones among them that replaced a symmetric
+    LU (see ``_StepWorkspace``).  ``linsolves`` counts every Newton solve,
+    a rejected symmetric one included, plus the two balance re-solves.
+    """
+
+    newton_iters: int = 0
+    final_residual: float = math.nan
+    linsolves: int = 0
+    refactors: int = 0
+    fallbacks: int = 0
 
 
 @dataclass
@@ -310,12 +319,29 @@ class _StepWorkspace:
     iterations where the contraction rule needs about 300.  The decision
     reads residuals only, never timings, so runs stay deterministic;
     correctness rests on the exact residual, not on the LU being current.
+
+    The LU is of R J, not of J: the row map R orders the block rows as
+    (mu, -h phi, -h w).  Inside the step guard R J is then symmetric
+    quasi-definite, with a positive definite (phi, phi) block and a
+    negative definite (mu, w) block, except that the graph terms
+    M diag(d) of its (phi, phi) block are not symmetric.  Such a matrix factors stably in any symmetric
+    order without pivoting (Vanderbei, SIAM J. Optim. 5, 1995), so SuperLU
+    runs in symmetric mode on a minimum-degree order of R J + (R J)^T.
+    With partial pivoting, the default, the pivots undo the fill-reducing
+    order and the factors hold about twice the entries.  Nothing
+    guarantees stability outside the theory (zero viscosity, say), so the
+    first direction of each symmetric LU is checked: if it is non-finite
+    or its backward error exceeds ``BACKWARD_TOL``, the pivoted LU of R J
+    replaces it until the next refactorization.
     """
 
     # On the active-set obstacle case 0.01-0.05 give about the same
     # factorization and iteration counts; at 0.1 an LU that contracts
     # slowly is kept and some runs need 680 iterations instead of 300.
     THETA_MAX = 0.05
+    # relative backward error ||R J dx + R r|| / ||R r|| a symmetric LU's
+    # first direction must meet; the pivoted LU meets it by far
+    BACKWARD_TOL = 1e-8
 
     def __init__(self, ops, pair, params):
         self.ops = ops
@@ -339,6 +365,9 @@ class _StepWorkspace:
              [(tau / h + sb) * Mb + Kb
               + P.T @ ((sigma / h + sg) * Mg + Kg) @ P, -Mb, -(P.T @ Mg)],
              [(Mg / h) @ P, None, Mg + Kg]], format="csc")
+        self.R = sp.bmat([[None, sp.eye(nb), None],
+                          [-h * sp.eye(nb), None, None],
+                          [None, None, -h * sp.eye(ng)]], format="csr")
         self._lu = None
 
     def load(self, state, fn, gn):
@@ -370,18 +399,35 @@ class _StepWorkspace:
             + self.P.T @ self.ops.M_bdry.multiply(d_g[None, :]) @ self.P
         return self.L + self.E @ N @ self.E_phi.T
 
-    def direction(self, phi, r, fresh=False):
+    def direction(self, phi, r, report, fresh=False):
         """Newton direction for residual ``r``; returns ``(dx, factored)``.
 
-        The Jacobian at ``phi`` is factorized first when ``fresh`` is set
-        or the LU is stale; ``factored`` says whether that happened.
+        Solves (R J) dx = -R r.  R J at ``phi`` is factorized first when
+        ``fresh`` is set or the LU is stale; ``factored`` says whether
+        that happened.  Solves, factorizations and fallbacks are counted
+        in ``report``.
         """
-        if fresh:
-            self._lu = None
-        factored = self._lu is None
+        rhs = -(self.R @ r)
+        factored = fresh or self._lu is None
         if factored:
-            self._lu = splu(self.jacobian_matrix(phi))
-        return self._lu.solve(-r), factored
+            self._lu = None  # free the old factors first
+            A = (self.R @ self.jacobian_matrix(phi)).tocsc()
+            self._lu = splu(A, permc_spec="MMD_AT_PLUS_A",
+                            diag_pivot_thresh=0.0,
+                            options=dict(SymmetricMode=True))
+            dx = self._lu.solve(rhs)
+            report.refactors += 1
+            report.linsolves += 1
+            # NaN-safe: a non-finite dx fails the comparison
+            if (np.linalg.norm(A @ dx - rhs)
+                    <= self.BACKWARD_TOL * np.linalg.norm(rhs)):
+                return dx, True
+            self._lu = None  # free the rejected factors first
+            self._lu = splu(A)
+            report.refactors += 1
+            report.fallbacks += 1
+        report.linsolves += 1
+        return self._lu.solve(rhs), factored
 
     def observe(self, rms_old, rms_new):
         """Mark the LU stale when an accepted update contracts too little.
@@ -411,18 +457,14 @@ def solve_step(state, data, params, ops, fn=None, gn=None, work=None):
     b = work.load(state, fn, gn)
     x = np.concatenate([state.phi, state.mu, state.w])
     r, rms = work.residual(x, b)
-    iters = 0
-    linsolves = 0
-    refactors = 0
+    report = StepReport()
     # "not rms <= tol" rather than "rms > tol": a NaN residual must keep
     # iterating until it fails, never pass as converged
     while not rms <= tol_inner:
-        if iters >= params.newton_max:
+        if report.newton_iters >= params.newton_max:
             raise NewtonFailure("no convergence in %d iterations"
                                 % params.newton_max, residual=rms)
-        dx, fresh = work.direction(x[:nb], r)
-        linsolves += 1
-        refactors += fresh
+        dx, fresh = work.direction(x[:nb], r, report)
         alpha = 1.0
         while True:
             x_c = x + alpha * dx
@@ -434,14 +476,12 @@ def solve_step(state, data, params, ops, fn=None, gn=None, work=None):
             alpha *= 0.5
             if alpha < 0.25 and not fresh:
                 # stale LU produced a poor direction; rebuild and retry
-                dx, fresh = work.direction(x[:nb], r, fresh=True)
-                linsolves += 1
-                refactors += 1
+                dx, fresh = work.direction(x[:nb], r, report, fresh=True)
                 alpha = 1.0
                 continue
             if alpha < params.damping_min:
                 raise NewtonFailure("line search stagnated", residual=rms)
-        iters += 1
+        report.newton_iters += 1
 
     # re-solve the two linear balances exactly; this pins the augmented
     # mean values at rounding level independently of the Newton tolerance
@@ -449,14 +489,15 @@ def solve_step(state, data, params, ops, fn=None, gn=None, work=None):
     mu = diskfem.inv_neumann_shifted(ops, state.mu - (phi - state.phi) / h)
     w = diskfem.inv_shifted_bdry(
         ops, state.w - (phi[work.loop] - state.psi) / h)
-    linsolves += 2
+    report.linsolves += 2
     _, rms = work.residual(np.concatenate([phi, mu, w]), b)
     if not rms <= params.newton_tol:
         raise NewtonFailure("post-enforcement residual %.3e above tolerance"
                             % rms, residual=rms)
+    report.final_residual = rms
     new = SchemeState(state.n + 1, (state.n + 1) * h, phi, mu,
                       phi[work.loop].copy(), w)
-    return new, StepReport(iters, rms, linsolves, refactors)
+    return new, report
 
 
 def run(data, params, ops, hooks=()):
@@ -522,8 +563,8 @@ def save_trajectory(traj, path, stride=1):
                 continue
             fh.write("state %d %.17g\n" % (state.n, state.t))
             for name in ("phi", "mu", "psi", "w"):
-                row = getattr(state, name)
-                fh.write(" ".join("%.17g" % x for x in row) + "\n")
+                row = getattr(state, name).tolist()
+                fh.write(" ".join(["%.17g"] * len(row)) % tuple(row) + "\n")
 
 
 def load_states(path):

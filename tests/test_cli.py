@@ -245,6 +245,25 @@ class TestCmdContdep:
                 assert cli.cmd_contdep(first, second,
                                        echo=lambda *a: None) == 2
 
+    def test_strict_guard_refuses_like_run(self, tmp_path, capsys):
+        # zero viscosities violate the step guard: both commands refuse
+        path = write_config(tmp_path, TINY + "tau = 0\nsigma = 0\n"
+                            "strict_guard = true\nic = constant(0)\n")
+        out = str(tmp_path / "out")
+        assert cli.main(["run", "--config", path, "--out", out]) == 2
+        assert cli.main(["contdep", "--config", path, "--config", path]) == 2
+        printed = capsys.readouterr().out
+        assert printed.count("[strict mode: refusing to run]") == 2
+        assert "lhs=" not in printed
+
+    def test_strong_checks_reported(self, tmp_path):
+        path = write_config(tmp_path, TINY + "strong_checks = true\n"
+                            "ic = constant(0)\n")
+        cfg = cli.parse_config(path)
+        msgs = []
+        assert cli.cmd_contdep(cfg, cfg, echo=msgs.append) == 0
+        assert sum(m.startswith("strong-check norms:") for m in msgs) == 2
+
     def test_mean_shift_rejected(self, tmp_path):
         a = cli.parse_config(write_config(
             tmp_path, TINY + "ic = constant(0)\n", "a.cfg"))

@@ -236,6 +236,37 @@ class TestSolveStep:
             assert np.abs(new.mu - mu_o).max() < 1e-8
             assert np.abs(new.w - w_o).max() < 1e-8
 
+    def test_matches_oracle_with_active_set(self, tiny_ops):
+        # sources of opposite sign on the two halves of the disk push
+        # nodes beyond +-1, where the Yosida derivative is 1/eps and the
+        # factored R J is not symmetric; the second step factors there
+        x = tiny_ops.mesh.vertices[:, 0]
+        fn, gn = 1000.0 * x, 1000.0 * x[tiny_ops.mesh.boundary_loop]
+        data, params = tiny_problem(tiny_ops, "obstacle", eps=0.1)
+        state = stepper.initial_state(data, tiny_ops)
+        for _ in range(2):
+            new, _ = stepper.solve_step(state, data, params, tiny_ops,
+                                        fn=fn, gn=gn)
+            phi_o, mu_o, w_o = reference.fixed_point_step(
+                state, data, params, tiny_ops, fn, gn)
+            assert np.abs(new.phi - phi_o).max() < 1e-8
+            assert np.abs(new.mu - mu_o).max() < 1e-8
+            assert np.abs(new.w - w_o).max() < 1e-8
+            state = new
+        assert (np.abs(state.phi) > 1.0).any()
+
+    def test_row_map_symmetrizes_interior_obstacle_jacobian(self, tiny_ops):
+        # strictly inside (-1, 1) the graph derivative is 0 and R J is
+        # symmetric; h = 2^-10 makes the -h row scaling of the 1/h blocks
+        # exact in floating point, so any wrong sign or scale shows
+        data, params = tiny_problem(tiny_ops, "obstacle", amp=0.9,
+                                    h=2.0 ** -10, t_final=2.0 ** -10)
+        assert np.abs(data.phi0).max() < 1.0
+        work = stepper._StepWorkspace(tiny_ops, data.pair, params)
+        A = work.R @ work.jacobian_matrix(data.phi0)
+        assert A.nnz > 0
+        assert abs(A - A.T).max() == 0.0
+
     def test_augmented_means_conserved(self, tiny_ops):
         x = tiny_ops.mesh.vertices[:, 0]
         data, params = tiny_problem(tiny_ops, f=0.5 + x,
@@ -361,9 +392,9 @@ class TestRun:
             def __init__(self, lu):
                 self.solve = lu.solve
 
-        def counting_splu(A):
+        def counting_splu(A, **kwargs):
             calls.append(A.shape)
-            return SolveOnly(real(A))
+            return SolveOnly(real(A, **kwargs))
 
         monkeypatch.setattr(stepper, "splu", counting_splu)
         data, params = tiny_problem(tiny_ops, "log", amp=0.3, t_final=8e-3)
@@ -371,6 +402,43 @@ class TestRun:
         assert traj.ok
         assert len(calls) == sum(r.refactors for r in traj.reports[1:])
         assert len(calls) >= 1
+
+    # a non-finite direction, and a finite one with backward error 1
+    @pytest.mark.parametrize("bad", (np.nan, 0.0), ids=("nan", "zero"))
+    def test_failed_symmetric_lu_falls_back_to_pivoted(self, tiny_ops,
+                                                       monkeypatch, bad):
+        real = stepper.splu
+        solves = []
+
+        class BadSolve:
+            def solve(self, b):
+                return np.full_like(b, bad)
+
+        class CountingSolve:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, b):
+                solves.append(b.shape)
+                return self.lu.solve(b)
+
+        def failing_symmetric_splu(A, **kwargs):
+            if kwargs.get("options", {}).get("SymmetricMode"):
+                return BadSolve()
+            return CountingSolve(real(A, **kwargs))
+
+        monkeypatch.setattr(stepper, "splu", failing_symmetric_splu)
+        data, params = tiny_problem(tiny_ops, "obstacle", amp=0.3,
+                                    t_final=8e-3)
+        traj = stepper.run(data, params, tiny_ops)
+        assert traj.ok
+        reports = traj.reports[1:]
+        # the interior obstacle Jacobian is constant: one symmetric LU,
+        # rejected, then one pivoted LU serves every later direction
+        assert sum(r.fallbacks for r in reports) == 1
+        assert sum(r.refactors for r in reports) == 2
+        assert len(solves) == sum(r.linsolves - 2 for r in reports) - 1
+        assert len(solves) > 1
 
     def test_obstacle_interior_run_factorizes_once(self, tiny_ops):
         # strictly inside (-1, 1) the obstacle's Yosida derivative is 0,
