@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import diagnostics, diskfem, graphs, reference, stepper
+from . import checkpoint, diagnostics, diskfem, graphs, reference, stepper
 from .errors import (ChbsError, GridMismatch, MeanMismatch, ParseError,
                      UnknownKey)
 
@@ -296,10 +296,12 @@ def execute_on(cfg, ops, out, echo=print):
     records = []
     hook = diagnostics.record_hook(records, data.pair, params, ops,
                                    stride=cfg.stride)
-    traj = stepper.run(data, params, ops, hooks=(hook,))
+    # the checkpoint text is formatted by a writer process while the run
+    # goes on; the stream's exit waits for it
+    with checkpoint.Stream(os.path.join(out, "checkpoints.txt"),
+                           cfg.stride) as stream:
+        traj = stepper.run(data, params, ops, hooks=(stream, hook))
     diagnostics.write_csv(records, os.path.join(out, "run.csv"))
-    stepper.save_trajectory(traj, os.path.join(out, "checkpoints.txt"),
-                            stride=cfg.stride)
     if not traj.ok:
         msg = ("solver failure at step %d: %s"
                % (traj.failed_step, traj.failure))

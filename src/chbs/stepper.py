@@ -17,7 +17,7 @@ import numpy as np
 from scipy import sparse as sp
 from scipy.sparse.linalg import splu
 
-from . import diskfem, graphs
+from . import checkpoint, diskfem, graphs
 from .errors import (IterationFailure, LinSolveFailure, NewtonFailure,
                      OutOfRange, ParseError, ValidationFailure)
 
@@ -556,22 +556,33 @@ def interpolants(traj, t):
 
 
 def save_trajectory(traj, path, stride=1):
-    """Write the text checkpoint format, one block per recorded state."""
+    """Write the text checkpoint format, one block per recorded state.
+
+    ``cli`` streams the same blocks during a run with
+    :class:`chbs.checkpoint.Stream`; both print them with
+    :func:`chbs.checkpoint.format_block`.
+    """
     with open(path, "w", encoding="utf-8") as fh:
         for state in traj.states:
-            if state.n % stride != 0:
-                continue
-            fh.write("state %d %.17g\n" % (state.n, state.t))
-            for name in ("phi", "mu", "psi", "w"):
-                row = getattr(state, name).tolist()
-                fh.write(" ".join(["%.17g"] * len(row)) % tuple(row) + "\n")
+            if state.n % stride == 0:
+                fh.write(checkpoint.format_block(
+                    state.n, state.t,
+                    [getattr(state, name).tolist()
+                     for name in checkpoint.FIELDS]))
 
 
 def load_states(path):
-    """Read a checkpoint file back into a list of states."""
+    """Read a checkpoint file back into a list of states.
+
+    A file cut inside a block (no final newline, a missing row, or rows
+    of one side that differ in length) raises ParseError.
+    """
     states = []
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        text = fh.read()
+    if text and not text.endswith("\n"):
+        raise ParseError("checkpoint file ends inside a line")
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     i = 0
     while i < len(lines):
         head = lines[i].split()
@@ -584,6 +595,9 @@ def load_states(path):
         except ValueError:
             raise ParseError("malformed checkpoint entry near line %d"
                              % (i + 1)) from None
+        if rows[0].size != rows[1].size or rows[2].size != rows[3].size:
+            raise ParseError("checkpoint block at line %d has rows of "
+                             "unequal length" % (i + 1))
         states.append(SchemeState(n, t, rows[0], rows[1], rows[2], rows[3]))
         i += 5
     return states

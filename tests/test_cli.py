@@ -1,7 +1,10 @@
+import filecmp
+import subprocess
+
 import numpy as np
 import pytest
 
-from chbs import cli, diskfem
+from chbs import cli, diskfem, stepper
 from chbs.errors import ParseError, UnknownKey
 
 TINY = """
@@ -17,6 +20,17 @@ def write_config(tmp_path, body, name="run.cfg"):
     path = tmp_path / name
     path.write_text(body)
     return str(path)
+
+
+def assert_same_tree(a, b):
+    """Both directories hold the same files, byte for byte."""
+    cmp = filecmp.dircmp(a, b)
+    assert not (cmp.left_only or cmp.right_only or cmp.funny_files)
+    _, mismatch, errors = filecmp.cmpfiles(a, b, cmp.common_files,
+                                           shallow=False)
+    assert not (mismatch or errors), mismatch + errors
+    for sub in cmp.common_dirs:
+        assert_same_tree(a / sub, b / sub)
 
 
 class TestParseConfig:
@@ -156,7 +170,43 @@ class TestCmdRun:
                                      echo=lambda *a: None)
         assert code == 3
         assert (out / "run.csv").exists()
-        assert (out / "checkpoints.txt").exists()
+        # exactly the blocks of the states reached, as save_trajectory
+        # writes them
+        stepper.save_trajectory(traj, tmp_path / "saved.txt")
+        assert len(traj.states) == 1
+        assert ((out / "checkpoints.txt").read_bytes()
+                == (tmp_path / "saved.txt").read_bytes())
+
+    def test_streamed_checkpoints_match_save_trajectory(self, tmp_path):
+        body = TINY + "ic = random(0.3, 7)\nstride = 2\n"
+        cfg = cli.parse_config(write_config(tmp_path, body))
+        out = tmp_path / "out"
+        code, traj = cli.execute_run(cfg, out_dir=str(out),
+                                     echo=lambda *a: None)
+        assert code == 0
+        stepper.save_trajectory(traj, tmp_path / "saved.txt", stride=2)
+        assert ((out / "checkpoints.txt").read_bytes()
+                == (tmp_path / "saved.txt").read_bytes())
+
+    def test_unwritable_checkpoint_path_exit_2(self, tmp_path, capfd,
+                                               monkeypatch):
+        writers = []
+
+        class Recorded(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                writers.append(self)
+
+        monkeypatch.setattr(subprocess, "Popen", Recorded)
+        path = write_config(tmp_path, TINY + "ic = random(0.3, 3)\n")
+        out = tmp_path / "out"
+        (out / "checkpoints.txt").mkdir(parents=True)
+        code = cli.main(["run", "--config", path, "--out", str(out)])
+        assert code == 2
+        err = capfd.readouterr().err
+        assert "file error" in err and "checkpoints.txt" in err
+        assert len(writers) == 1
+        assert writers[0].returncode not in (None, 0)  # reaped, failed
 
     def test_summary_totals(self, tmp_path):
         body = TINY + "ic = random(0.3, 5)\n"
@@ -300,6 +350,14 @@ class TestMain:
     def test_config_error_exit_2(self, tmp_path):
         path = write_config(tmp_path, "tau = 9\n")
         assert cli.main(["run", "--config", path]) == 2
+
+    def test_sweep_workers_via_main(self, tmp_path):
+        path = write_config(tmp_path, TINY + "ic = random(0.2, 6)\n")
+        for workers in ("1", "2"):
+            assert cli.main(["sweep", "--config", path, "--axis", "eps",
+                             "--ladder", "0.4,0.2,0.1", "--workers", workers,
+                             "--out", str(tmp_path / workers)]) == 0
+        assert_same_tree(tmp_path / "1", tmp_path / "2")
 
     def test_mesh_info_via_main(self, tmp_path):
         mesh = diskfem.gen_disk_mesh(2, 8)

@@ -128,6 +128,13 @@ def test_sweep_workers_match_serial(tmp_path):
     a = (tmp_path / "serial" / "table.csv").read_text()
     b = (tmp_path / "par" / "table.csv").read_text()
     assert a == b
+    # each member's files were written from a pool thread, the
+    # checkpoints by a writer process that thread started
+    for member in ("member_00", "member_01", "member_02"):
+        for name in ("checkpoints.txt", "run.csv", "summary.txt"):
+            a = (tmp_path / "serial" / member / name).read_bytes()
+            b = (tmp_path / "par" / member / name).read_bytes()
+            assert a == b, (member, name)
 
 
 def test_log_pair_survives_wall_proximity(tiny_ops):
