@@ -458,8 +458,7 @@ def _selftest_graphs():
     for name in ("regular", "log", "obstacle"):
         pair = graphs.preset_pair(name)
         g = pair.bulk
-        span = 1.2 if name == "log" else 2.5
-        pts = np.linspace(-span, span, 33)
+        pts = np.linspace(-2.5, 2.5, 33)
         for eps in graphs.COMPAT_EPS_GRID:
             for r in pts:
                 j = graphs.resolvent(g, eps, float(r))

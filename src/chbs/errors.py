@@ -6,11 +6,12 @@ class ChbsError(Exception):
 
 
 class IterationFailure(ChbsError):
-    """A scalar root-find failed to meet its residual tolerance.
+    """The log-graph resolvent iteration missed its residual tolerance.
 
-    The scalar resolvent problems are strictly monotone, so hitting this
-    indicates a bug or an evaluation point far outside the representable
-    range, not a user error.
+    Only that Newton loop raises it (the other resolvents are closed
+    forms).  Its scalar problem is strictly monotone, so hitting this
+    indicates a bug or a non-finite or huge evaluation point, not a user
+    error.
     """
 
 

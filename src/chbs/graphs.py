@@ -226,56 +226,12 @@ def mixed_pair(bulk_kind, boundary_kind, c1=2.0, c2=1.0, rho=None, c0=None):
     if rho is None:
         rho = 1.0
     if c0 is None:
-        worst = 0.0
-        for eps in COMPAT_EPS_GRID:
-            span = _sample_span(bulk, bdry, eps, float(rho))
-            r = np.linspace(-span, span, SCAN_SAMPLES)
-            gap = np.abs(_yosida(bulk, eps, r)) \
-                - rho * np.abs(_yosida(bdry, eps * rho, r))
-            worst = max(worst, float(gap.max()))
-        c0 = max(worst, 0.0) + 1e-9
+        worst = max(_compat_gaps(bulk, bdry, eps, rho, SCAN_SAMPLES)[1].max()
+                    for eps in COMPAT_EPS_GRID)
+        c0 = max(float(worst), 0.0) + 1e-9
     return PotentialPair("%s/%s" % (bulk_kind, boundary_kind),
                          bulk, bulk_pi, bdry, bdry_pi,
                          rho=float(rho), c0=float(c0))
-
-
-def _solve_resolvent(graph, eps_eff, r):
-    """Solve J + eps_eff * beta(J) = r componentwise.
-
-    Safeguarded Newton: every iterate stays inside a bracketing interval
-    that shrinks monotonically; out-of-bracket or non-finite Newton steps
-    fall back to bisection, which guarantees termination.
-    """
-    r = np.asarray(r, dtype=float)
-    if graph.kind == LOG:
-        tiny = 1e-14
-        lo = np.maximum(np.minimum(r, 0.0), -1.0 + tiny)
-        hi = np.minimum(np.maximum(r, 0.0), 1.0 - tiny)
-    else:
-        # 0 is in beta(0), hence |J| <= |r|.
-        lo = np.minimum(r, 0.0)
-        hi = np.maximum(r, 0.0)
-    j = 0.5 * (lo + hi)
-    f = j + eps_eff * graph.beta(j) - r
-    for _ in range(RESOLVENT_MAX_ITER):
-        done = np.abs(f) <= RESOLVENT_TOL
-        if done.all():
-            break
-        hi = np.where(~done & (f > 0.0), j, hi)
-        lo = np.where(~done & (f < 0.0), j, lo)
-        fp = 1.0 + eps_eff * graph.beta_prime(j)
-        step = np.where(done, 0.0, f / fp)
-        cand = j - step
-        bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
-        cand = np.where(bad & ~done, 0.5 * (lo + hi), cand)
-        j = np.where(done, j, cand)
-        f = np.where(done, f, j + eps_eff * graph.beta(j) - r)
-    worst = float(np.abs(f).max()) if f.size else 0.0
-    if worst > RESOLVENT_TOL:
-        raise IterationFailure(
-            "resolvent solve stalled at residual %.3e (kind=%s, eps_eff=%g)"
-            % (worst, graph.kind, eps_eff))
-    return j
 
 
 def _nodal(fn):
@@ -293,14 +249,35 @@ def _nodal(fn):
 def resolvent(graph, eps_eff, r):
     """Resolvent J with J + eps_eff * beta(J) containing r.
 
-    Exact projection for the obstacle graph; safeguarded Newton with a
-    bisection fallback otherwise.  Accepts scalars or arrays.
+    Projection for the obstacle graph, Cardano's root in sinh form with
+    one Newton polish for the cubic, and Newton's method in s = atanh(J)
+    for the log graph.  Accepts scalars or arrays.
     """
     if not eps_eff > 0.0:
         raise ValueError("eps_eff must be positive")
     if graph.kind == OBSTACLE:
         return np.clip(r, -1.0, 1.0)
-    return _solve_resolvent(graph, eps_eff, r)
+    if graph.kind == REGULAR:
+        # J + eps J^3 = r is sinh(3t) = 1.5 a r for J = (2/a) sinh(t)
+        a = math.sqrt(3.0 * eps_eff)
+        j = (2.0 / a) * np.sinh(np.arcsinh(1.5 * a * r) / 3.0)
+        return j - (j + eps_eff * (j * j * j) - r) \
+            / (1.0 + 3.0 * eps_eff * (j * j))
+    # J = tanh(s) turns the equation into g(s) = tanh(s) + 2 eps s - r = 0
+    # with g increasing, concave for s > 0 and convex for s < 0: Newton
+    # from s = 0 moves monotonically to the root, and |J| <= 1 throughout
+    s = np.zeros_like(r)
+    j = np.zeros_like(r)
+    for _ in range(RESOLVENT_MAX_ITER):
+        f = j + 2.0 * eps_eff * s - r
+        worst = float(np.max(np.abs(f), initial=0.0))
+        if worst <= RESOLVENT_TOL:
+            return j
+        s -= f / ((1.0 - j) * (1.0 + j) + 2.0 * eps_eff)
+        j = np.tanh(s)
+    raise IterationFailure(
+        "log resolvent stalled at residual %.3e (eps_eff=%g)"
+        % (worst, eps_eff))
 
 
 @_nodal
@@ -314,7 +291,10 @@ def _yosida_prime(graph, eps_eff, r):
         # generalized derivative: 0 on [-1, 1] (including the kinks)
         return np.where(np.abs(r) > 1.0, 1.0 / eps_eff, 0.0)
     j = resolvent(graph, eps_eff, r)
-    jp = 1.0 / (1.0 + eps_eff * graph.beta_prime(j))
+    # far out the log resolvent tanh(s) rounds to +-1, where beta' is +inf
+    # and J' = 0 is the limit
+    with np.errstate(divide="ignore"):
+        jp = 1.0 / (1.0 + eps_eff * graph.beta_prime(j))
     return (1.0 - jp) / eps_eff
 
 
@@ -358,9 +338,6 @@ def moreau_envelope(graph, eps_eff, r):
     and the unsmoothed primitive.
     """
     j = resolvent(graph, eps_eff, r)
-    if graph.kind == LOG:
-        # guard against a one-ulp overshoot of the root solve
-        j = np.clip(j, -1.0, 1.0)
     return 0.5 / eps_eff * (r - j) ** 2 + graph.primitive(j)
 
 
@@ -379,18 +356,20 @@ def minimal_section(graph, r):
     return float(graph.beta(r))
 
 
-def _sample_span(bulk, boundary, eps, rho):
-    """Half-width of a whole-line sampling window that stays computable.
+def _compat_gaps(bulk, boundary, eps, rho, samples):
+    """Sample points and gaps |beta_eps| - rho |beta_{Gamma,eps}|.
 
-    Near the asymptotes of the log graph the root-finding residual cannot
-    reach 1e-12 in double precision, so the window shrinks with the
-    effective regularization parameter for that family.
+    ``samples`` points span the boundary-graph domain and ``samples``
+    more the whole-line window [-5, 5] (the Yosida maps are globally
+    defined).  The c0 fit and the check both sample through here.
     """
-    span = 5.0
-    for graph, eps_eff in ((bulk, eps), (boundary, eps * rho)):
-        if graph.kind == LOG:
-            span = min(span, 1.0 + min(0.25, 8.0 * eps_eff))
-    return span
+    b_lo = boundary.lo if math.isfinite(boundary.lo) else -3.0
+    b_hi = boundary.hi if math.isfinite(boundary.hi) else 3.0
+    pts = np.concatenate([np.linspace(b_lo, b_hi, samples),
+                          np.linspace(-5.0, 5.0, samples)])
+    gap = np.abs(_yosida(bulk, eps, pts)) \
+        - rho * np.abs(_yosida(boundary, eps * rho, pts))
+    return pts, gap
 
 
 @dataclass
@@ -425,16 +404,8 @@ def check_compatibility(pair, eps, samples):
         raise ValueError("eps must lie in (0, 1]")
     if samples < 1:
         raise ValueError("need at least one sample")
-    b_lo = pair.boundary.lo if math.isfinite(pair.boundary.lo) else -3.0
-    b_hi = pair.boundary.hi if math.isfinite(pair.boundary.hi) else 3.0
-    span = _sample_span(pair.bulk, pair.boundary, eps, pair.rho)
-    pts = np.concatenate([
-        np.linspace(b_lo, b_hi, samples),
-        np.linspace(-span, span, samples),
-    ])
-    margin = np.abs(_yosida(pair.bulk, eps, pts)) \
-        - pair.rho * np.abs(_yosida(pair.boundary, eps * pair.rho, pts)) \
-        - pair.c0
+    pts, gap = _compat_gaps(pair.bulk, pair.boundary, eps, pair.rho, samples)
+    margin = gap - pair.c0
     k = int(np.argmax(margin))
     worst = float(margin[k])
     return CompatReport(ok=worst <= 1e-12, worst_margin=worst,

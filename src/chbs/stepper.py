@@ -25,6 +25,8 @@ _GAUSS3_NODES = (-math.sqrt(0.6), 0.0, math.sqrt(0.6))
 _GAUSS3_WEIGHTS = (5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0)
 # decreasing regularizations of the strong compatibility check
 STRONG_EPS_LADDER = (0.4, 0.2, 0.1, 0.05)
+# smallest line-search step before the Newton solve counts as stagnated
+DAMPING_MIN = 1.0 / 1024.0
 
 
 @dataclass
@@ -44,7 +46,6 @@ class SchemeParams:
     eps: float = 0.1
     newton_tol: float = 1e-10
     newton_max: int = 50
-    damping_min: float = 1.0 / 1024.0
 
     def check(self):
         bad = []
@@ -141,9 +142,12 @@ class Trajectory:
     reports: list
     params: SchemeParams
     guard: GuardReport
-    outside_theory: bool = False
     failure: Exception = None
     failed_step: int = None
+
+    @property
+    def outside_theory(self):
+        return not self.guard.ok
 
     def times(self):
         return np.array([s.t for s in self.states])
@@ -479,7 +483,7 @@ def solve_step(state, data, params, ops, fn=None, gn=None, work=None):
                 dx, fresh = work.direction(x[:nb], r, report, fresh=True)
                 alpha = 1.0
                 continue
-            if alpha < params.damping_min:
+            if alpha < DAMPING_MIN:
                 raise NewtonFailure("line search stagnated", residual=rms)
         report.newton_iters += 1
 
@@ -511,8 +515,7 @@ def run(data, params, ops, hooks=()):
     guard = step_guard(params, data.pair)
     work = _StepWorkspace(ops, data.pair, params)
     state = initial_state(data, ops)
-    traj = Trajectory([state], [None], params, guard,
-                      outside_theory=not guard.ok)
+    traj = Trajectory([state], [None], params, guard)
     for hook in hooks:
         hook(state, None)
     for n in range(params.n_steps):

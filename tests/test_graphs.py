@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chbs import graphs, reference
-from chbs.errors import OutOfDomain
+from chbs.errors import IterationFailure, OutOfDomain
 
 ALL_KINDS = ("regular", "log", "obstacle")
 
@@ -17,11 +17,8 @@ def make_graph(kind):
     return graphs.obstacle_graph(1.0)
 
 
-def sample_points(kind, n=400):
-    # the log family cannot reach 1e-12 root residuals far outside its
-    # domain in double precision, so its window stays near the interval
-    span = 1.2 if kind == "log" else 3.0
-    return np.linspace(-span, span, n)
+def sample_points(n):
+    return np.linspace(-3.0, 3.0, n)
 
 
 class TestResolvent:
@@ -40,11 +37,15 @@ class TestResolvent:
         g = make_graph("log")
         assert graphs.resolvent(g, 0.1, 0.0) == 0.0
 
+    def test_log_nan_raises(self):
+        with pytest.raises(IterationFailure):
+            graphs.resolvent(make_graph("log"), 0.1, np.array([0.5, np.nan]))
+
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    @pytest.mark.parametrize("eps", (0.5, 0.1, 0.02))
+    @pytest.mark.parametrize("eps", (0.5, 0.1, 0.02, 1e-3))
     def test_matches_bisection_oracle(self, kind, eps):
         g = make_graph(kind)
-        pts = sample_points(kind, 120)
+        pts = sample_points(120)
         j = graphs.resolvent(g, eps, pts)
         for r, ji in zip(pts, j):
             assert abs(ji - reference.resolvent_bisect(g, eps, r)) < 1e-10
@@ -97,6 +98,12 @@ class TestYosida:
             assert abs(graphs.yosida_bulk(g, eps, float(r))) \
                 <= abs(graphs.minimal_section(g, float(r))) + 1e-12
 
+    @pytest.mark.filterwarnings("error")
+    def test_log_prime_where_resolvent_rounds_to_one(self):
+        g = make_graph("log")
+        assert graphs.resolvent(g, 0.1, 6.0) == 1.0
+        assert graphs.yosida_bulk_prime(g, 0.1, 6.0) == 10.0
+
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_lipschitz_and_monotone(self, kind, rng):
         g = make_graph(kind)
@@ -140,7 +147,7 @@ class TestMoreauEnvelope:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_between_zero_and_primitive(self, kind):
         g = make_graph(kind)
-        pts = sample_points(kind, 301)
+        pts = sample_points(301)
         env = graphs.moreau_envelope(g, 0.2, pts)
         assert np.all(env >= 0.0)
         assert np.all(env <= g.primitive(pts) + 1e-12)
@@ -223,8 +230,12 @@ class TestCompatibility:
         assert rep.worst_margin > 0.0
         assert abs(rep.worst_r) <= 1.0 + 0.2
 
-    def test_fitted_mixed_pair_passes(self):
-        pair = graphs.mixed_pair("regular", "obstacle")
+    @pytest.mark.parametrize("bulk, boundary",
+                             (("regular", "obstacle"), ("log", "obstacle")))
+    def test_fitted_mixed_pair_passes(self, bulk, boundary):
+        # the log/obstacle gap peaks at the obstacle kinks r = +-1, which
+        # the fit must sample as the check does
+        pair = graphs.mixed_pair(bulk, boundary)
         assert pair.rho == 1.0
         assert pair.c0 > 0.0
         for eps in (0.5, 0.1, 0.02):
