@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import IterationFailure, OutOfDomain
 
@@ -98,7 +97,7 @@ class MonotoneGraph:
         elif self.kind == LOG:
             inside = np.abs(r) <= 1.0
             rc = np.where(inside, r, 0.0)
-            val = xlogy(1.0 + rc, 1.0 + rc) + xlogy(1.0 - rc, 1.0 - rc)
+            val = _xlogx(1.0 + rc) + _xlogx(1.0 - rc)
             out = np.where(inside, val, np.inf)
         else:
             out = np.where(np.abs(r) <= 1.0, 0.0, np.inf)
@@ -109,6 +108,11 @@ class MonotoneGraph:
         if interior or not self.closed:
             return self.lo < r < self.hi
         return self.lo <= r <= self.hi
+
+
+def _xlogx(u):
+    """u log u for u >= 0, with its limit 0 at u = 0."""
+    return np.where(u > 0, u * np.log(np.where(u > 0, u, 1.0)), 0.0)
 
 
 def regular_graph():

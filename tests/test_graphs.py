@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -198,6 +201,15 @@ class TestPrimitives:
         assert g.primitive(1.0) == pytest.approx(2 * math.log(2.0),
                                                  rel=1e-14)
         assert g.primitive(1.0 + 1e-12) == math.inf
+
+    def test_cli_import_leaves_scipy_special_out(self):
+        src = os.path.dirname(os.path.dirname(graphs.__file__))
+        code = ("import sys, chbs.cli; print(sorted(m for m in sys.modules "
+                "if m.startswith('scipy.special')))")
+        proc = subprocess.run([sys.executable, "-c", code], timeout=120,
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"
 
     def test_double_well_shapes(self):
         # graph primitive plus perturbation primitive recovers the wells

@@ -325,6 +325,42 @@ class TestSolveStep:
         assert (np.linalg.norm(quotient - J @ v)
                 <= 1e-6 * np.linalg.norm(J @ v))
 
+    # +-3 lies outside the domains of the log and obstacle graphs
+    @pytest.mark.parametrize("start", ("solution", 3.0, -3.0))
+    @pytest.mark.parametrize("kind", ("regular", "log", "obstacle"))
+    def test_guess_converges_to_oracle(self, tiny_ops, kind, start):
+        data, params = tiny_problem(tiny_ops, kind, amp=0.3)
+        state = stepper.initial_state(data, tiny_ops)
+        fn = np.zeros(tiny_ops.mesh.n_bulk)
+        gn = np.zeros(tiny_ops.mesh.n_bdry)
+        if start == "solution":
+            solved, _ = stepper.solve_step(state, data, params, tiny_ops,
+                                           fn=fn, gn=gn)
+            guess = np.concatenate([solved.phi, solved.mu, solved.w])
+        else:
+            guess = np.full(2 * tiny_ops.mesh.n_bulk + tiny_ops.mesh.n_bdry,
+                            start)
+        new, report = stepper.solve_step(state, data, params, tiny_ops,
+                                         fn=fn, gn=gn, guess=guess)
+        if start == "solution":
+            assert report.newton_iters <= 1
+        phi_o, mu_o, w_o = reference.fixed_point_step(
+            state, data, params, tiny_ops, fn, gn)
+        assert np.abs(new.phi - phi_o).max() < 1e-8
+        assert np.abs(new.mu - mu_o).max() < 1e-8
+        assert np.abs(new.w - w_o).max() < 1e-8
+
+    def test_old_level_guess_is_the_default(self, tiny_ops):
+        data, params = tiny_problem(tiny_ops, "log", amp=0.3)
+        state = stepper.initial_state(data, tiny_ops)
+        new, report = stepper.solve_step(state, data, params, tiny_ops)
+        guess = np.concatenate([state.phi, state.mu, state.w])
+        new_g, report_g = stepper.solve_step(state, data, params, tiny_ops,
+                                             guess=guess)
+        assert report_g == report
+        for name in ("phi", "mu", "psi", "w"):
+            assert np.array_equal(getattr(new_g, name), getattr(new, name))
+
     def test_newton_failure_carries_residual(self, tiny_ops):
         data, params = tiny_problem(tiny_ops, amp=0.3)
         params.newton_max = 0
@@ -449,6 +485,22 @@ class TestRun:
         assert traj.ok
         assert all(np.abs(s.phi).max() < 1.0 for s in traj.states)
         assert sum(r.refactors for r in traj.reports[1:]) == 1
+
+    @pytest.mark.parametrize("kind", ("regular", "log", "obstacle"))
+    def test_extrapolated_start_needs_no_more_iterations(self, tiny_ops,
+                                                         kind):
+        # the same steps, one workspace, each started at the old level
+        data, params = tiny_problem(tiny_ops, kind, amp=0.3, t_final=2e-2)
+        traj = stepper.run(data, params, tiny_ops)
+        assert traj.ok
+        work = stepper._StepWorkspace(tiny_ops, data.pair, params)
+        state = stepper.initial_state(data, tiny_ops)
+        plain = 0
+        for _ in range(params.n_steps):
+            state, report = stepper.solve_step(state, data, params,
+                                               tiny_ops, work=work)
+            plain += report.newton_iters
+        assert sum(r.newton_iters for r in traj.reports[1:]) <= plain
 
     def test_zero_viscosity_marked_outside_theory(self, tiny_ops):
         data, params = tiny_problem(tiny_ops, tau=0.0, sigma=0.0,
