@@ -315,6 +315,11 @@ def execute_on(cfg, ops, out, echo=print):
                    % (len(reports), sum(r.newton_iters for r in reports),
                       sum(r.refactors for r in reports),
                       sum(r.linsolves for r in reports)))
+    # the step from which the Newton matrix is the exact Jacobian
+    summary.append("fallbacks_total=%d exact_lu_from_step=%s"
+                   % (sum(r.fallbacks for r in reports),
+                      next((n for n, r in enumerate(reports, 1)
+                            if r.exact_lu), "none")))
     summary.append("outside_theory=%s" % traj.outside_theory)
     _write_summary(os.path.join(out, "summary.txt"), summary)
     return 0, traj

@@ -73,26 +73,22 @@ def gen_disk_mesh(n_rings, n_sectors):
         raise ValueError("need n_rings >= 1 and n_sectors >= 3")
     R, S = int(n_rings), int(n_sectors)
     theta = 2.0 * math.pi * np.arange(S) / S
-    verts = [np.zeros((1, 2))]
-    for k in range(1, R + 1):
-        r = k / R
-        verts.append(np.column_stack([r * np.cos(theta), r * np.sin(theta)]))
-    vertices = np.vstack(verts)
+    r = (np.arange(1, R + 1) / R)[:, None]
+    vertices = np.vstack([np.zeros((1, 2)),
+                          np.column_stack([(r * np.cos(theta)).ravel(),
+                                           (r * np.sin(theta)).ravel()])])
 
-    def idx(k, j):
-        return 1 + (k - 1) * S + (j % S)
-
-    tris = []
-    for j in range(S):
-        tris.append((0, idx(1, j), idx(1, j + 1)))
-    for k in range(1, R):
-        for j in range(S):
-            a, b = idx(k, j), idx(k, j + 1)
-            c, d = idx(k + 1, j), idx(k + 1, j + 1)
-            tris.append((a, d, b))
-            tris.append((a, c, d))
-    triangles = np.array(tris, dtype=np.int64)
-    boundary_loop = np.array([idx(R, j) for j in range(S)], dtype=np.int64)
+    # vertex (k, j) of ring k >= 1, sector j is 1 + (k - 1) S + j mod S
+    j = np.arange(S)
+    fan = np.column_stack([np.zeros(S, dtype=np.int64), 1 + j,
+                           1 + (j + 1) % S])
+    a = 1 + S * np.arange(R - 1)[:, None] + j  # (k, j) for k < R
+    b = a - j + (j + 1) % S                    # (k, j + 1)
+    c, d = a + S, b + S                        # (k + 1, j), (k + 1, j + 1)
+    quads = np.stack([np.stack([a, d, b], axis=-1),
+                      np.stack([a, c, d], axis=-1)], axis=2)
+    triangles = np.vstack([fan, quads.reshape(-1, 3)])
+    boundary_loop = 1 + (R - 1) * S + j
     return DiskMesh(vertices, triangles, boundary_loop)
 
 

@@ -110,10 +110,12 @@ class SchemeState:
 class StepReport:
     """Solver counts of one step.
 
-    ``refactors`` counts every factorization of the Newton matrix and
-    ``fallbacks`` the pivoted ones among them that replaced a symmetric
-    LU (see ``_StepWorkspace``).  ``linsolves`` counts every Newton solve,
-    a rejected symmetric one included, plus the two balance re-solves.
+    ``refactors`` counts every factorization of the Newton matrix, Fourier
+    or exact, and ``fallbacks`` the pivoted ones among them that replaced
+    a symmetric LU (see ``_StepWorkspace``).  ``linsolves`` counts every
+    Newton solve, a rejected symmetric one included, plus the two balance
+    re-solves.  ``exact_lu`` says whether the step ended on the exact LU
+    of the Jacobian rather than on its rotation average.
     """
 
     newton_iters: int = 0
@@ -121,6 +123,7 @@ class StepReport:
     linsolves: int = 0
     refactors: int = 0
     fallbacks: int = 0
+    exact_lu: bool = False
 
 
 @dataclass
@@ -297,47 +300,176 @@ def validate(data, params, ops, strong=False):
     return report
 
 
+def _ring_layout(mesh, L):
+    """``(rings, sectors)`` of a ring-numbered mesh, else ``None``.
+
+    Ring numbering is that of :func:`chbs.diskfem.gen_disk_mesh`: vertex
+    0 is the center, then come the rings of S vertices each, and the
+    boundary loop is the outer ring in order.  The step operator ``L``
+    must also commute, to rounding, with the rotation by one sector,
+    which excludes a ring-numbered mesh of another shape.
+    """
+    nb, S = mesh.n_bulk, mesh.n_bdry
+    if S < 3 or nb == 1 or (nb - 1) % S or not np.array_equal(
+            mesh.boundary_loop, np.arange(nb - S, nb)):
+        return None
+    rings = (nb - 1) // S
+    ring = _ring_unknowns(rings, S)
+    turn = np.arange(L.shape[0])
+    turn[ring] = np.roll(ring, -1, axis=1)
+    if abs(L[turn][:, turn] - L).max() > 1e-10 * abs(L).max():
+        return None
+    return rings, S
+
+
+def _ring_unknowns(rings, sectors):
+    """Indices of the ring unknowns of x = (phi, mu, w), one row per ring.
+
+    The rows are phi on rings 1..R, mu on rings 1..R and w on the
+    boundary; the center's phi and mu (indices 0 and N_bulk) are left out.
+    """
+    nb = 1 + rings * sectors
+    return np.concatenate([np.arange(1, nb), np.arange(nb + 1, 2 * nb),
+                           np.arange(2 * nb, 2 * nb + sectors)]
+                          ).reshape(2 * rings + 1, sectors)
+
+
+class _FourierFactor:
+    """Direct solver for the rotation average of a ring-mesh matrix ``A``.
+
+    On a ring mesh with R rings of S sectors the unknowns x = (phi, mu,
+    w) form 2R + 1 rings of S values plus the center's phi and mu.  A
+    matrix that commutes with the rotation by one sector couples two
+    rings by a circulant, read here from the first row of each ring, so
+    the orthonormal real FFT along the rings splits A x = v into S//2 + 1
+    independent complex mode blocks of 2R + 1 unknowns; the center's two
+    join the mode-0 block (Swarztrauber & Sweet, SIAM J. Numer. Anal. 10,
+    1973).  The blocks form one block-diagonal sparse matrix with one
+    pivoted LU, of which only ``solve`` is used.  Rows other than the
+    first of each ring are not read, so for a matrix that is not
+    rotation invariant this solves its circulant stencil, not A.
+    """
+
+    def __init__(self, A, rings, sectors):
+        S = sectors
+        self.ring = ring = _ring_unknowns(rings, S)
+        self.center = center = np.array([0, 1 + rings * S])
+        G = ring.shape[0]
+        self.n_modes = n_modes = S // 2 + 1
+        # ring of every unknown (the center's two get G and G + 1) and
+        # its sector (0 at the center)
+        group = np.empty(A.shape[0], dtype=np.int64)
+        sector = np.zeros(A.shape[0], dtype=np.int64)
+        group[ring] = np.arange(G)[:, None]
+        sector[ring] = np.arange(S)
+        group[center] = G + np.arange(2)
+        A = A.tocsr()
+
+        rows = A[ring[:, 0]].tocoo()
+        a, b, j = rows.row, group[rows.col], sector[rows.col]
+        on_ring = b < G
+        # ring to ring: one circulant stencil per coupled pair of rings
+        pairs, pair = np.unique(a[on_ring] * G + b[on_ring],
+                                return_inverse=True)
+        stencil = np.zeros((pairs.size, S))
+        np.add.at(stencil, (pair, j[on_ring]), rows.data[on_ring])
+        # mode m multiplies by sum_d c[d] exp(+2 pi i m d / S)
+        lam = np.conj(np.fft.rfft(stencil, axis=1))
+        offset = G * np.arange(n_modes)
+        blk_rows = [(offset + (pairs // G)[:, None]).ravel()]
+        blk_cols = [(offset + (pairs % G)[:, None]).ravel()]
+        values = [lam.ravel()]
+        # the center couples to the rings through mode 0 only, which the
+        # orthonormal FFT makes the ring sum over sqrt(S)
+        blk_rows.append(a[~on_ring])
+        blk_cols.append(G * n_modes + b[~on_ring] - G)
+        values.append(math.sqrt(S) * rows.data[~on_ring])
+        rows = A[center].tocoo()
+        b = group[rows.col]
+        on_ring = b < G
+        blk_rows.append(G * n_modes + rows.row)
+        blk_cols.append(np.where(on_ring, b, G * n_modes + b - G))
+        values.append(np.where(on_ring, rows.data / math.sqrt(S),
+                               rows.data))
+        size = G * n_modes + 2
+        B = sp.csc_matrix((np.concatenate(values),
+                           (np.concatenate(blk_rows),
+                            np.concatenate(blk_cols))),
+                          shape=(size, size), dtype=complex)
+        self._lu = splu(B)
+
+    def solve(self, v):
+        G, S = self.ring.shape
+        modes = np.fft.rfft(v[self.ring], axis=1, norm="ortho")
+        y = self._lu.solve(np.concatenate([modes.T.ravel(), v[self.center]]))
+        x = np.empty(v.shape)
+        x[self.ring] = np.fft.irfft(y[:-2].reshape(self.n_modes, G).T, n=S,
+                                    axis=1, norm="ortho")
+        x[self.center] = y[-2:].real
+        return x
+
+
 class _StepWorkspace:
-    """Per-run cache: the step operator L and the LU reuse.
+    """Per-run cache: the step operator L and the reuse of one factor.
 
     A step solves r(x) = L x - b_n + E n(phi) = 0 for x = (phi, mu, w): L
     is the linear part of the step equations, b_n the load of level n and
     E puts the nodal graph term n(phi) on the mu rows.  So the Jacobian
     L + E n'(phi) E_phi^T moves only with the graph derivatives, which
-    drift slowly along a trajectory, and one LU serves many Newton
-    updates, across iterations and time steps.  Whether it
+    drift slowly along a trajectory, and one factor of it serves many
+    Newton updates, across iterations and time steps.  Whether it
     still serves is read from the iteration itself (the simplified-Newton
     rule of Hairer & Wanner, Solving ODEs II, IV.8, and Deuflhard 2004):
     after each accepted update the contraction factor
     theta = rms_new / rms_old is compared with ``THETA_MAX``, and a larger
-    theta marks the LU stale, so the next direction refactorizes at the
-    current iterate.  A line search that backtracks below alpha = 1/4 on
-    an old LU also forces a fresh one.  While every node of an obstacle
-    run stays strictly inside (-1, 1) the Yosida derivative is 0, the
-    Jacobian is constant and its first LU serves the whole run.
+    theta marks the factor stale, so the next direction refactorizes at
+    the current iterate.  A line search that backtracks below alpha = 1/4
+    on an old factor also forces a fresh one.  While every node of an
+    obstacle run stays strictly inside (-1, 1) the Yosida derivative is
+    0, the Jacobian is constant and its first factor serves the whole run.
 
     Neither simpler rule works.  A fixed age refactorizes every few
-    directions whether or not the old LU still contracts, and most of the
-    run goes into factorizations that change nothing.  Never refactorizing
-    lets a moving active set (obstacle graph, eps = 0.05) slow the
-    iteration to a crawl: one LU for 100 steps costs 641 Newton
+    directions whether or not the old factor still contracts, and most of
+    the run goes into factorizations that change nothing.  Never
+    refactorizing lets a moving active set (obstacle graph, eps = 0.05)
+    slow the iteration to a crawl: one LU for 100 steps costs 641 Newton
     iterations where the contraction rule needs about 300.  The decision
     reads residuals only, never timings, so runs stay deterministic;
-    correctness rests on the exact residual, not on the LU being current.
+    correctness rests on the exact residual, not on the factor being
+    current.
 
-    The LU is of R J, not of J: the row map R orders the block rows as
-    (mu, -h phi, -h w).  Inside the step guard R J is then symmetric
+    Two Newton matrices are used, both row-mapped by R (below).  On a
+    ring-numbered mesh (see ``_ring_layout``) L commutes with the rotation
+    by one sector and only the nodal graph derivatives d break that
+    symmetry.  There the run starts on the rotation average of the
+    Jacobian: d is replaced by its mean over each ring of the bulk and
+    over the boundary loop (T. F. Chan's optimal circulant, SIAM J. Sci.
+    Stat. Comput. 9, 1988), which ``_FourierFactor`` solves mode by mode,
+    at a fraction of the fill of an LU of the whole matrix.  The run
+    leaves that path for good when a fresh Fourier factor's first
+    accepted update contracts by more than ``THETA_MAX``, or when the
+    line search cuts one of its directions below alpha = 1/4 (a
+    non-finite direction always is).  From then on, and from the start on
+    any other mesh, the factor is the exact LU of R J.  On the regular
+    and log desk runs the average contracts at theta of about 1e-5 and
+    one Fourier factor serves the whole run; the perturbed active-set
+    obstacle data of the benchmark break the symmetry and switch within
+    the first step.
+
+    The exact LU is of R J, not of J: the row map R orders the block rows
+    as (mu, -h phi, -h w).  Inside the step guard R J is then symmetric
     quasi-definite, with a positive definite (phi, phi) block and a
     negative definite (mu, w) block, except that the graph terms
-    M diag(d) of its (phi, phi) block are not symmetric.  Such a matrix factors stably in any symmetric
-    order without pivoting (Vanderbei, SIAM J. Optim. 5, 1995), so SuperLU
-    runs in symmetric mode on a minimum-degree order of R J + (R J)^T.
-    With partial pivoting, the default, the pivots undo the fill-reducing
-    order and the factors hold about twice the entries.  Nothing
-    guarantees stability outside the theory (zero viscosity, say), so the
-    first direction of each symmetric LU is checked: if it is non-finite
-    or its backward error exceeds ``BACKWARD_TOL``, the pivoted LU of R J
-    replaces it until the next refactorization.
+    M diag(d) of its (phi, phi) block are not symmetric.  Such a matrix
+    factors stably in any symmetric order without pivoting (Vanderbei,
+    SIAM J. Optim. 5, 1995), so SuperLU runs in symmetric mode on a
+    minimum-degree order of R J + (R J)^T.  With partial pivoting, the
+    default, the pivots undo the fill-reducing order and the factors hold
+    about twice the entries.  Nothing guarantees stability outside the
+    theory (zero viscosity, say), so the first direction of each
+    symmetric LU is checked: if it is non-finite or its backward error
+    exceeds ``BACKWARD_TOL``, the pivoted LU of R J replaces it until the
+    next refactorization.
     """
 
     # On the active-set obstacle case 0.01-0.05 give about the same
@@ -373,7 +505,10 @@ class _StepWorkspace:
         self.R = sp.bmat([[None, sp.eye(nb), None],
                           [-h * sp.eye(nb), None, None],
                           [None, None, -h * sp.eye(ng)]], format="csr")
+        # (rings, sectors) while the run uses Fourier factors, else None
+        self.rings = _ring_layout(mesh, self.L)
         self._lu = None
+        self._trial = False  # a fresh Fourier factor awaits its first theta
 
     def load(self, state, fn, gn):
         """b_n: the old level ``state`` and the averaged sources."""
@@ -395,53 +530,78 @@ class _StepWorkspace:
             pair.boundary, eps, pair.rho, phi[self.loop])
         return r, math.sqrt(float(r @ r) / r.size)
 
-    def jacobian_matrix(self, phi):
+    def jacobian_matrix(self, phi, average=False):
+        """J at ``phi``; with ``average`` its rotation average on the ring
+        mesh, where the graph derivatives are replaced by their mean over
+        each ring of the bulk and over the boundary loop."""
         pair, eps = self.pair, self.params.eps
         d_b = graphs.yosida_bulk_prime(pair.bulk, eps, phi)
         d_g = graphs.yosida_boundary_prime(pair.boundary, eps, pair.rho,
                                            phi[self.loop])
+        if average:
+            rings, sectors = self.rings
+            ring_means = d_b[1:].reshape(rings, sectors).mean(axis=1)
+            d_b = np.concatenate([d_b[:1], np.repeat(ring_means, sectors)])
+            d_g = np.full(d_g.shape, d_g.mean())
         N = self.ops.M_bulk.multiply(d_b[None, :]) \
             + self.P.T @ self.ops.M_bdry.multiply(d_g[None, :]) @ self.P
         return self.L + self.E @ N @ self.E_phi.T
 
     def direction(self, phi, r, report, fresh=False):
-        """Newton direction for residual ``r``; returns ``(dx, factored)``.
+        """Newton direction for residual ``r``; returns ``(dx, final)``.
 
-        Solves (R J) dx = -R r.  R J at ``phi`` is factorized first when
-        ``fresh`` is set or the LU is stale; ``factored`` says whether
-        that happened.  Solves, factorizations and fallbacks are counted
-        in ``report``.
+        Solves (R J) dx = -R r with the current factor.  A new one is
+        built at ``phi`` when there is none or ``fresh`` is set, which the
+        line search does after cutting a direction below alpha = 1/4; a
+        cut Fourier direction also ends the Fourier path.  ``final`` says
+        that dx comes from a fresh exact LU, so a rebuild cannot do
+        better.  Solves, factorizations and fallbacks are counted in
+        ``report``.
         """
         rhs = -(self.R @ r)
-        factored = fresh or self._lu is None
-        if factored:
+        final = False
+        if fresh:
+            self.rings = None
+        if fresh or self._lu is None:
             self._lu = None  # free the old factors first
-            A = (self.R @ self.jacobian_matrix(phi)).tocsc()
-            self._lu = splu(A, permc_spec="MMD_AT_PLUS_A",
-                            diag_pivot_thresh=0.0,
-                            options=dict(SymmetricMode=True))
-            dx = self._lu.solve(rhs)
             report.refactors += 1
-            report.linsolves += 1
-            # NaN-safe: a non-finite dx fails the comparison
-            if (np.linalg.norm(A @ dx - rhs)
-                    <= self.BACKWARD_TOL * np.linalg.norm(rhs)):
-                return dx, True
-            self._lu = None  # free the rejected factors first
-            self._lu = splu(A)
-            report.refactors += 1
-            report.fallbacks += 1
+            self._trial = self.rings is not None
+            if self._trial:
+                self._lu = _FourierFactor(
+                    self.R @ self.jacobian_matrix(phi, average=True),
+                    *self.rings)
+            else:
+                A = (self.R @ self.jacobian_matrix(phi)).tocsc()
+                self._lu = splu(A, permc_spec="MMD_AT_PLUS_A",
+                                diag_pivot_thresh=0.0,
+                                options=dict(SymmetricMode=True))
+                dx = self._lu.solve(rhs)
+                report.linsolves += 1
+                # NaN-safe: a non-finite dx fails the comparison
+                if (np.linalg.norm(A @ dx - rhs)
+                        <= self.BACKWARD_TOL * np.linalg.norm(rhs)):
+                    return dx, True
+                self._lu = None  # free the rejected factors first
+                self._lu = splu(A)
+                report.refactors += 1
+                report.fallbacks += 1
+                final = True
         report.linsolves += 1
-        return self._lu.solve(rhs), factored
+        return self._lu.solve(rhs), final
 
     def observe(self, rms_old, rms_new):
-        """Mark the LU stale when an accepted update contracts too little.
+        """Mark the factor stale when an accepted update contracts too little.
 
-        Dropping the LU here also frees its factors before the next
-        factorization builds new ones.  A non-finite ratio marks it stale.
+        Dropping the factor here also frees it before the next
+        factorization builds a new one.  A non-finite ratio marks it
+        stale.  On the first update of a fresh Fourier factor it also
+        ends the Fourier path.
         """
         if not rms_new <= self.THETA_MAX * rms_old:
             self._lu = None
+            if self._trial:
+                self.rings = None
+        self._trial = False
 
 
 def solve_step(state, data, params, ops, fn=None, gn=None, work=None,
@@ -452,6 +612,13 @@ def solve_step(state, data, params, ops, fn=None, gn=None, work=None,
     when one is given, and at the old level otherwise.  Returns
     ``(new_state, StepReport)``.  Raises NewtonFailure when the damped
     iteration stagnates; linear solver errors propagate.
+
+    ``params.newton_tol`` bounds the rms of the residual r, whose rows are
+    integrals against the P1 basis functions and so scale with the local
+    element area, not nodal values.  The nodal accuracy it buys therefore
+    differs by mesh: on the 40x160 desk mesh two solves of one step that
+    both meet newton_tol = 1e-10 differ by up to 5.2e-9 in nodal w and
+    2.7e-9 in mu.
     """
     if work is None:
         work = _StepWorkspace(ops, data.pair, params)
@@ -473,7 +640,7 @@ def solve_step(state, data, params, ops, fn=None, gn=None, work=None,
         if report.newton_iters >= params.newton_max:
             raise NewtonFailure("no convergence in %d iterations"
                                 % params.newton_max, residual=rms)
-        dx, fresh = work.direction(x[:nb], r, report)
+        dx, final = work.direction(x[:nb], r, report)
         alpha = 1.0
         while True:
             x_c = x + alpha * dx
@@ -483,9 +650,10 @@ def solve_step(state, data, params, ops, fn=None, gn=None, work=None,
                 x, r, rms = x_c, r_c, rms_c
                 break
             alpha *= 0.5
-            if alpha < 0.25 and not fresh:
-                # stale LU produced a poor direction; rebuild and retry
-                dx, fresh = work.direction(x[:nb], r, report, fresh=True)
+            if alpha < 0.25 and not final:
+                # an old or averaged factor produced a poor direction;
+                # rebuild and retry
+                dx, final = work.direction(x[:nb], r, report, fresh=True)
                 alpha = 1.0
                 continue
             if alpha < DAMPING_MIN:
@@ -504,6 +672,7 @@ def solve_step(state, data, params, ops, fn=None, gn=None, work=None,
         raise NewtonFailure("post-enforcement residual %.3e above tolerance"
                             % rms, residual=rms)
     report.final_residual = rms
+    report.exact_lu = work.rings is None
     new = SchemeState(state.n + 1, (state.n + 1) * h, phi, mu,
                       phi[work.loop].copy(), w)
     return new, report

@@ -4,9 +4,24 @@ import pytest
 from chbs import diskfem
 
 
+def renumbered(mesh, seed=0):
+    """``mesh`` with its vertices in a random order, and the new index of
+    each old vertex.  The copy has no ring numbering."""
+    new = np.random.default_rng(seed).permutation(mesh.n_bulk)
+    vertices = np.empty_like(mesh.vertices)
+    vertices[new] = mesh.vertices
+    return diskfem.DiskMesh(vertices, new[mesh.triangles],
+                            new[mesh.boundary_loop]), new
+
+
 @pytest.fixture(scope="session")
 def tiny_ops():
     return diskfem.assemble(diskfem.gen_disk_mesh(2, 8))
+
+
+@pytest.fixture(scope="session")
+def tiny_renumbered_ops():
+    return diskfem.assemble(renumbered(diskfem.gen_disk_mesh(2, 8))[0])
 
 
 @pytest.fixture(scope="session")

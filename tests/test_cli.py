@@ -6,6 +6,7 @@ import pytest
 
 from chbs import cli, diskfem, stepper
 from chbs.errors import ParseError, UnknownKey
+from conftest import renumbered
 
 TINY = """
 mesh_rings = 3
@@ -222,6 +223,26 @@ class TestCmdRun:
                    sum(r.refactors for r in reports),
                    sum(r.linsolves for r in reports)))
         assert want in (out / "summary.txt").read_text().splitlines()
+
+    def test_summary_names_fallbacks_and_newton_matrix(self, tmp_path):
+        # the ring mesh keeps its Fourier factor; a renumbered copy of it
+        # runs on the exact LU from the first step
+        mesh_path = tmp_path / "renumbered.mesh"
+        diskfem.save_mesh(renumbered(diskfem.gen_disk_mesh(3, 12))[0],
+                          mesh_path)
+        for name, extra, want in (
+                ("ring", "", "exact_lu_from_step=none"),
+                ("renumbered", "mesh_file = %s\n" % mesh_path,
+                 "exact_lu_from_step=1")):
+            body = TINY + "ic = random(0.3, 5)\n" + extra
+            cfg = cli.parse_config(write_config(tmp_path, body))
+            out = tmp_path / name
+            code, traj = cli.execute_run(cfg, out_dir=str(out),
+                                         echo=lambda *a: None)
+            assert code == 0
+            fallbacks = sum(r.fallbacks for r in traj.reports[1:])
+            assert ("fallbacks_total=%d %s" % (fallbacks, want)
+                    in (out / "summary.txt").read_text().splitlines())
 
     def test_determinism(self, tmp_path):
         body = TINY + "ic = random(0.2, 11)\nsource_f = ramp(0.5)\n"

@@ -41,6 +41,34 @@ class TestMeshGeneration:
         assert (mesh.triangle_areas() > 0).all()
         diskfem.validate_mesh(mesh)
 
+    @pytest.mark.parametrize("rings, sectors", (
+        (1, 3), (1, 5), (2, 8), (3, 7), (5, 4), (17, 31), (40, 160)))
+    def test_matches_vertex_by_vertex_construction(self, rings, sectors):
+        # one vertex and one triangle at a time, as the numbering reads
+        def idx(k, j):
+            return 1 + (k - 1) * sectors + (j % sectors)
+
+        theta = 2.0 * math.pi * np.arange(sectors) / sectors
+        verts = [np.zeros((1, 2))]
+        for k in range(1, rings + 1):
+            r = k / rings
+            verts.append(np.column_stack([r * np.cos(theta),
+                                          r * np.sin(theta)]))
+        tris = [(0, idx(1, j), idx(1, j + 1)) for j in range(sectors)]
+        for k in range(1, rings):
+            for j in range(sectors):
+                a, b = idx(k, j), idx(k, j + 1)
+                c, d = idx(k + 1, j), idx(k + 1, j + 1)
+                tris += [(a, d, b), (a, c, d)]
+        loop = [idx(rings, j) for j in range(sectors)]
+        mesh = diskfem.gen_disk_mesh(rings, sectors)
+        for got, want in ((mesh.vertices, np.vstack(verts)),
+                          (mesh.triangles, np.array(tris, dtype=np.int64)),
+                          (mesh.boundary_loop, np.array(loop,
+                                                        dtype=np.int64))):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             diskfem.gen_disk_mesh(0, 8)

@@ -1,10 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
-from chbs import diagnostics, diskfem, graphs, reference, stepper
+from chbs import cli, diagnostics, diskfem, graphs, reference, stepper
 from chbs.errors import NewtonFailure, OutOfRange
+from conftest import renumbered
 
 
 def tiny_problem(ops, kind="regular", amp=0.1, seed=5, f=None, g=None,
@@ -420,6 +423,7 @@ class TestRun:
         assert traj.failed_step == 0
 
     def test_refactors_count_every_factorization(self, tiny_ops,
+                                                 tiny_renumbered_ops,
                                                  monkeypatch):
         real = stepper.splu
         calls = []
@@ -429,20 +433,27 @@ class TestRun:
                 self.solve = lu.solve
 
         def counting_splu(A, **kwargs):
-            calls.append(A.shape)
+            calls.append(A.dtype)
             return SolveOnly(real(A, **kwargs))
 
         monkeypatch.setattr(stepper, "splu", counting_splu)
-        data, params = tiny_problem(tiny_ops, "log", amp=0.3, t_final=8e-3)
-        traj = stepper.run(data, params, tiny_ops)
-        assert traj.ok
-        assert len(calls) == sum(r.refactors for r in traj.reports[1:])
-        assert len(calls) >= 1
+        # Fourier factors on the ring mesh, exact LUs on its renumbered copy
+        for ops, dtype in ((tiny_ops, complex), (tiny_renumbered_ops, float)):
+            calls.clear()
+            data, params = tiny_problem(ops, "log", amp=0.3, t_final=8e-3)
+            traj = stepper.run(data, params, ops)
+            assert traj.ok
+            assert len(calls) == sum(r.refactors for r in traj.reports[1:])
+            assert len(calls) >= 1
+            assert set(calls) == {np.dtype(dtype)}
 
     # a non-finite direction, and a finite one with backward error 1
+    # on a mesh without ring numbering, where every factor is an exact LU
     @pytest.mark.parametrize("bad", (np.nan, 0.0), ids=("nan", "zero"))
-    def test_failed_symmetric_lu_falls_back_to_pivoted(self, tiny_ops,
+    def test_failed_symmetric_lu_falls_back_to_pivoted(self,
+                                                       tiny_renumbered_ops,
                                                        monkeypatch, bad):
+        ops = tiny_renumbered_ops
         real = stepper.splu
         solves = []
 
@@ -464,11 +475,11 @@ class TestRun:
             return CountingSolve(real(A, **kwargs))
 
         monkeypatch.setattr(stepper, "splu", failing_symmetric_splu)
-        data, params = tiny_problem(tiny_ops, "obstacle", amp=0.3,
-                                    t_final=8e-3)
-        traj = stepper.run(data, params, tiny_ops)
+        data, params = tiny_problem(ops, "obstacle", amp=0.3, t_final=8e-3)
+        traj = stepper.run(data, params, ops)
         assert traj.ok
         reports = traj.reports[1:]
+        assert all(r.exact_lu for r in reports)
         # the interior obstacle Jacobian is constant: one symmetric LU,
         # rejected, then one pivoted LU serves every later direction
         assert sum(r.fallbacks for r in reports) == 1
@@ -517,6 +528,124 @@ class TestRun:
                                      tiny_ops)
                 for s in traj.states]
         assert all(b <= a + 1e-10 for a, b in zip(vals, vals[1:]))
+
+
+def ring_ops(request, rings, sectors):
+    if (rings, sectors) == (40, 160):
+        return request.getfixturevalue("desk_ops")
+    return diskfem.assemble(diskfem.gen_disk_mesh(rings, sectors))
+
+
+class TestFourierFactor:
+    @pytest.mark.parametrize("kind", ("regular", "log", "obstacle"))
+    @pytest.mark.parametrize("rings, sectors", (
+        (1, 5), (2, 8), (3, 7), (4, 16), (40, 160)))
+    def test_solves_the_averaged_jacobian(self, request, rings, sectors,
+                                          kind):
+        ops = ring_ops(request, rings, sectors)
+        data, params = tiny_problem(ops, kind, eps=0.1)
+        work = stepper._StepWorkspace(ops, data.pair, params)
+        assert work.rings == (rings, sectors)
+        gen = np.random.default_rng(7)
+        # nodes on both sides of +-1, where the derivatives jump
+        phi = gen.uniform(-1.3, 1.3, ops.mesh.n_bulk)
+        A = (work.R @ work.jacobian_matrix(phi, average=True)).tocsc()
+        v = gen.uniform(-1.0, 1.0, A.shape[0])
+        x = stepper._FourierFactor(A, rings, sectors).solve(v)
+        assert np.linalg.norm(A @ x - v) <= 1e-12 * np.linalg.norm(v)
+        want = splu(A).solve(v)
+        assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("kind", ("regular", "log", "obstacle"))
+    def test_average_of_a_radial_state_is_the_jacobian(self, small_ops,
+                                                       kind):
+        cfg = replace(cli.RunConfig(), ic="radial-bump(1.5, 0.7)")
+        phi = cli.build_initial(cfg, small_ops.mesh)
+        data, params = tiny_problem(small_ops, kind, eps=0.1)
+        work = stepper._StepWorkspace(small_ops, data.pair, params)
+        J = work.jacobian_matrix(phi)
+        graph_terms = abs(J - work.L).max()
+        assert graph_terms > 0.0
+        gap = abs(work.jacobian_matrix(phi, average=True) - J).max()
+        assert gap <= 1e-12 * graph_terms
+
+    def test_active_obstacle_switches_to_exact_lu_in_step_one(
+            self, desk_ops, monkeypatch):
+        # criterion-7 data: a profile pinned at the obstacle on both caps,
+        # perturbed as in the benchmark, so the active set moves at once
+        ops = desk_ops
+        pair = graphs.preset_pair("obstacle")
+        loop = ops.mesh.boundary_loop
+        x = ops.mesh.vertices[:, 0]
+        phi_dag = np.where(x >= 0.2, 1.0, np.where(
+            x <= -0.2, -1.0, np.sin(0.5 * np.pi * x / 0.2)))
+        xi = np.where(x >= 0.2, 1.0, np.where(x <= -0.2, -1.0, 0.0))
+        f = xi + pair.bulk_pi(phi_dag) \
+            + ops.mass_bulk_solver().solve(ops.K_bulk @ phi_dag)
+        g = xi[loop] + pair.boundary_pi(phi_dag[loop]) \
+            + splu(ops.M_bdry.tocsc()).solve(ops.K_bdry @ phi_dag[loop])
+        noise = 2.0 * cli.xorshift64_uniform(2, ops.mesh.n_bulk) - 1.0
+        phi0 = np.clip(phi_dag + 0.01 * noise, -1.0, 1.0)
+        data = stepper.problem_data(ops, phi0, pair, f=f, g=g)
+        params = stepper.SchemeParams(h=1e-3, t_final=2e-3, eps=0.05)
+        real = stepper.splu
+        kinds = []
+
+        def recording_splu(A, **kwargs):
+            kinds.append(A.dtype)
+            return real(A, **kwargs)
+
+        monkeypatch.setattr(stepper, "splu", recording_splu)
+        traj = stepper.run(data, params, ops)
+        assert traj.ok
+        assert [r.exact_lu for r in traj.reports[1:]] == [True, True]
+        assert kinds[0] == complex and kinds[-1] == float
+        assert len(kinds) == sum(r.refactors for r in traj.reports[1:])
+
+    def test_cut_fourier_direction_switches_to_exact_lu(self, tiny_ops,
+                                                        monkeypatch):
+        # a non-finite direction fails every trial of the line search
+        monkeypatch.setattr(stepper._FourierFactor, "solve",
+                            lambda self, v: np.full_like(v, np.nan))
+        data, params = tiny_problem(tiny_ops, "regular", amp=0.3)
+        traj = stepper.run(data, params, tiny_ops)
+        assert traj.ok
+        assert all(r.exact_lu for r in traj.reports[1:])
+        # the Fourier factor, then the exact LU that replaced it
+        assert traj.reports[1].refactors == 2
+
+    def test_ring_numbered_mesh_of_another_shape_is_solved_exactly(self):
+        mesh = diskfem.gen_disk_mesh(3, 8)
+        mesh.vertices[2] *= 1.1  # one vertex of the inner ring moves out
+        ops = diskfem.assemble(mesh)
+        data, params = tiny_problem(ops)
+        assert stepper._StepWorkspace(ops, data.pair, params).rings is None
+        traj = stepper.run(data, params, ops)
+        assert traj.ok
+        assert all(r.exact_lu for r in traj.reports[1:])
+
+    @pytest.mark.parametrize("kind", ("regular", "log", "obstacle"))
+    def test_renumbered_mesh_runs_exact_lu_to_the_same_states(self, kind):
+        mesh = diskfem.gen_disk_mesh(4, 16)
+        copy, new = renumbered(mesh, seed=3)
+        ops, ops_r = diskfem.assemble(mesh), diskfem.assemble(copy)
+        data, params = tiny_problem(ops, kind, amp=0.3, t_final=2e-2)
+        phi0 = np.empty_like(data.phi0)
+        phi0[new] = data.phi0
+        data_r = stepper.problem_data(ops_r, phi0, data.pair)
+        traj = stepper.run(data, params, ops)
+        traj_r = stepper.run(data_r, params, ops_r)
+        assert traj.ok and traj_r.ok
+        assert not any(r.exact_lu for r in traj.reports[1:])
+        assert all(r.exact_lu for r in traj_r.reports[1:])
+        tol = 10.0 * params.n_steps * params.newton_tol
+        last, last_r = traj.states[-1], traj_r.states[-1]
+        for name in ("phi", "mu"):
+            gap = getattr(last_r, name)[new] - getattr(last, name)
+            assert np.abs(gap).max() <= tol
+        for name in ("psi", "w"):
+            gap = getattr(last_r, name) - getattr(last, name)
+            assert np.abs(gap).max() <= tol
 
 
 @pytest.fixture()
