@@ -163,6 +163,14 @@ def _parse_preset(text):
         raise ParseError("non-numeric preset argument in %r" % text) from None
 
 
+def _preset_args(name, args, defaults):
+    """``args`` completed from ``defaults``, which also bound their count."""
+    if len(args) > len(defaults):
+        raise ParseError("preset %s takes at most %d argument(s), got %d"
+                         % (name, len(defaults), len(args)))
+    return args + list(defaults[len(args):])
+
+
 def build_mesh(cfg):
     if cfg.mesh_file:
         mesh = diskfem.load_mesh(cfg.mesh_file)
@@ -181,19 +189,20 @@ def build_initial(cfg, mesh):
     name, args = _parse_preset(cfg.ic)
     xy = mesh.vertices
     if name == "constant":
-        (a,) = args or (0.0,)
-        return np.full(mesh.n_bulk, float(a))
+        (a,) = _preset_args(name, args, (0.0,))
+        return np.full(mesh.n_bulk, a)
     if name == "radial-bump":
-        a, r0 = (args + [0.5])[:2] if args else (1.0, 0.5)
+        a, r0 = _preset_args(name, args, (1.0, 0.5))
         rsq = (xy ** 2).sum(axis=1)
         out = np.zeros(mesh.n_bulk)
         inside = rsq < r0 ** 2
         out[inside] = a * np.exp(1.0 - r0 ** 2 / (r0 ** 2 - rsq[inside]))
         return out
     if name == "random":
-        a = args[0] if args else 0.1
-        seed = int(args[1]) if len(args) > 1 else 1
-        u = xorshift64_uniform(seed, mesh.n_bulk)
+        a, seed = _preset_args(name, args, (0.1, 1.0))
+        if not seed.is_integer():
+            raise ParseError("random seed must be an integer, got %r" % seed)
+        u = xorshift64_uniform(int(seed), mesh.n_bulk)
         return a * (2.0 * u - 1.0)
     raise ParseError("unknown initial-condition preset %r" % name)
 
@@ -202,13 +211,14 @@ def build_source(text, size):
     """Source presets: zero, constant(a), ramp(a) with f(t) = a t."""
     name, args = _parse_preset(text)
     if name == "zero":
+        _preset_args(name, args, ())
         return None
     if name == "constant":
-        (a,) = args or (0.0,)
-        return np.full(size, float(a))
+        (a,) = _preset_args(name, args, (0.0,))
+        return np.full(size, a)
     if name == "ramp":
-        (a,) = args or (1.0,)
-        return lambda t: np.full(size, float(a) * t)
+        (a,) = _preset_args(name, args, (1.0,))
+        return lambda t: np.full(size, a * t)
     raise ParseError("unknown source preset %r" % text)
 
 

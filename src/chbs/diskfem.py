@@ -4,9 +4,8 @@ The mesh generator places a center vertex plus concentric rings; the
 outermost ring is the closed boundary polyline.  Assembly produces the
 consistent bulk mass/stiffness pair and the periodic 1-D mass/stiffness
 pair along the boundary (arc-length Laplacian on the curve).  Each side is a
-:class:`Part`; the mean values, the shifted inverse, the constrained Green
-solves for zero-mean data and the dual norms they induce are written once
-against it.
+:class:`Part`; the mean values, the constrained Green solves for zero-mean
+data and the dual norms they induce are written once against it.
 """
 
 import math
@@ -195,14 +194,12 @@ class Part:
         self._lock = threading.Lock()
 
     def solver(self, kind):
-        """Factorization of ``M`` (``"mass"``), ``M + K`` (``"shifted"``) or
-        the stiffness bordered by the lumped-mass row (``"green"``)."""
+        """Factorization of ``M`` (``"mass"``) or the stiffness bordered
+        by the lumped-mass row (``"green"``)."""
         with self._lock:
             if kind not in self._cache:
                 if kind == "mass":
                     A = self.M
-                elif kind == "shifted":
-                    A = self.M + self.K
                 elif kind == "green":
                     m = sp.csc_matrix(self.lumped[:, None])
                     A = sp.bmat([[self.K, m], [m.T, None]], format="csc")
@@ -238,9 +235,9 @@ class _FactoredMatrix:
     backward error |r_i| / (|A||x| + |b|)_i, which refinement can push to
     rounding level even for ill-scaled meshes.  An SPD matrix (``spd``)
     is factored without pivoting on a minimum-degree order of A + A^T,
-    which stays stable and on the bulk mass and shifted matrices holds
-    0.6 times the entries of the pivoted LU; the bordered ``"green"``
-    matrix is indefinite and keeps partial pivoting.
+    which stays stable and on the bulk mass matrix holds 0.6 times the
+    entries of the pivoted LU; the bordered ``"green"`` matrix is
+    indefinite and keeps partial pivoting.
     """
 
     def __init__(self, A, spd=False):
@@ -340,26 +337,6 @@ def mean_bulk(ops, v):
 def mean_bdry(ops, v_bdry):
     """Integral mean over the boundary curve."""
     return mean(ops.bdry, v_bdry)
-
-
-def inv_shifted(part, v):
-    """Apply the inverse of the mass-shifted stiffness.
-
-    Solves (M + K) u = M v; constants are fixed points and the mean is
-    preserved because the stiffness annihilates constants.
-    """
-    return part.solver("shifted").solve(part.M @ v,
-                                        "shifted %s solve" % part.name)
-
-
-def inv_neumann_shifted(ops, v):
-    """:func:`inv_shifted` on the disk (Neumann stiffness)."""
-    return inv_shifted(ops.bulk, v)
-
-
-def inv_shifted_bdry(ops, v_bdry):
-    """:func:`inv_shifted` on the boundary curve."""
-    return inv_shifted(ops.bdry, v_bdry)
 
 
 def green(part, v):

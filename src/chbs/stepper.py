@@ -5,9 +5,8 @@ parameter, bulk chemical potential and boundary potential (the boundary
 order parameter is the trace of the bulk one, eliminated exactly).  The
 graph nonlinearities are applied nodally and multiplied by the consistent
 mass matrices; the solver is a damped semismooth Newton method with a
-line search.  After convergence the two linear balance equations are
-re-solved exactly, which pins the augmented mean values to rounding
-level.
+line search.  After convergence one constant added to each potential
+pins the augmented mean values to rounding level.
 """
 
 import math
@@ -19,8 +18,8 @@ from scipy import sparse as sp
 from scipy.sparse.linalg import splu
 
 from . import checkpoint, diskfem, graphs
-from .errors import (IterationFailure, LinSolveFailure, NewtonFailure,
-                     OutOfRange, ParseError, ValidationFailure)
+from .errors import (IterationFailure, NewtonFailure, OutOfRange,
+                     ParseError, ValidationFailure)
 
 _GAUSS3_NODES = (-math.sqrt(0.6), 0.0, math.sqrt(0.6))
 _GAUSS3_WEIGHTS = (5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0)
@@ -113,9 +112,9 @@ class StepReport:
     ``refactors`` counts every factorization of the Newton matrix, Fourier
     or exact, and ``fallbacks`` the pivoted ones among them that replaced
     a symmetric LU (see ``_StepWorkspace``).  ``linsolves`` counts every
-    Newton solve, a rejected symmetric one included, plus the two balance
-    re-solves.  ``exact_lu`` says whether the step ended on the exact LU
-    of the Jacobian rather than on its rotation average.
+    Newton solve, a rejected symmetric one included; the step makes no
+    other linear solve.  ``exact_lu`` says whether the step ended on the
+    exact LU of the Jacobian rather than on its rotation average.
     """
 
     newton_iters: int = 0
@@ -616,9 +615,10 @@ def solve_step(state, data, params, ops, fn=None, gn=None, work=None,
     ``params.newton_tol`` bounds the rms of the residual r, whose rows are
     integrals against the P1 basis functions and so scale with the local
     element area, not nodal values.  The nodal accuracy it buys therefore
-    differs by mesh: on the 40x160 desk mesh two solves of one step that
-    both meet newton_tol = 1e-10 differ by up to 5.2e-9 in nodal w and
-    2.7e-9 in mu.
+    differs by mesh: on the 250-step regular desk run (40x160 mesh), each
+    step solved once from ``run``'s extrapolated guess and once from the
+    old level, both meeting newton_tol = 1e-10, differ by up to 5.1e-9 in
+    nodal w, 3.9e-9 in mu and 8e-11 in phi.
     """
     if work is None:
         work = _StepWorkspace(ops, data.pair, params)
@@ -630,8 +630,9 @@ def solve_step(state, data, params, ops, fn=None, gn=None, work=None,
     h, nb = params.h, work.nb
     tol_inner = 0.25 * params.newton_tol
     b = work.load(state, fn, gn)
+    # a copy of the guess, as the means are pinned in x itself below
     x = (np.concatenate([state.phi, state.mu, state.w]) if guess is None
-         else np.asarray(guess, dtype=float))
+         else np.array(guess, dtype=float))
     r, rms = work.residual(x, b)
     report = StepReport()
     # "not rms <= tol" rather than "rms > tol": a NaN residual must keep
@@ -644,7 +645,12 @@ def solve_step(state, data, params, ops, fn=None, gn=None, work=None,
         alpha = 1.0
         while True:
             x_c = x + alpha * dx
-            r_c, rms_c = work.residual(x_c, b)
+            try:
+                r_c, rms_c = work.residual(x_c, b)
+            except IterationFailure:
+                # the log resolvent cannot evaluate the trial point (a
+                # non-finite direction, say): reject it like a worse one
+                r_c, rms_c = None, math.inf
             if rms_c < rms or rms_c <= tol_inner:
                 work.observe(rms, rms_c)
                 x, r, rms = x_c, r_c, rms_c
@@ -660,21 +666,20 @@ def solve_step(state, data, params, ops, fn=None, gn=None, work=None,
                 raise NewtonFailure("line search stagnated", residual=rms)
         report.newton_iters += 1
 
-    # re-solve the two linear balances exactly; this pins the augmented
-    # mean values at rounding level independently of the Newton tolerance
-    phi = x[:nb].copy()  # a view would keep all of x alive in the state
-    mu = diskfem.inv_neumann_shifted(ops, state.mu - (phi - state.phi) / h)
-    w = diskfem.inv_shifted_bdry(
-        ops, state.w - (phi[work.loop] - state.psi) / h)
-    report.linsolves += 2
-    _, rms = work.residual(np.concatenate([phi, mu, w]), b)
+    # the stiffness annihilates constants, so one constant per side puts
+    # the augmented means m(phi + h mu) and m(psi + h w) back at the old
+    # level's values, to rounding, whatever the Newton tolerance
+    phi, mu, w = np.split(x, [nb, 2 * nb])
+    psi = phi[work.loop]
+    mu += diskfem.mean(ops.bulk, state.phi - phi + h * (state.mu - mu)) / h
+    w += diskfem.mean(ops.bdry, state.psi - psi + h * (state.w - w)) / h
+    _, rms = work.residual(x, b)
     if not rms <= params.newton_tol:
         raise NewtonFailure("post-enforcement residual %.3e above tolerance"
                             % rms, residual=rms)
     report.final_residual = rms
     report.exact_lu = work.rings is None
-    new = SchemeState(state.n + 1, (state.n + 1) * h, phi, mu,
-                      phi[work.loop].copy(), w)
+    new = SchemeState(state.n + 1, (state.n + 1) * h, phi, mu, psi, w)
     return new, report
 
 
@@ -719,7 +724,7 @@ def run(data, params, ops, hooks=()):
         try:
             state, report = solve_step(state, data, params, ops, work=work,
                                        guess=_predict(history))
-        except (NewtonFailure, LinSolveFailure, IterationFailure) as exc:
+        except (NewtonFailure, IterationFailure) as exc:
             traj.failure = exc
             traj.failed_step = n
             return traj

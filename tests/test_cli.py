@@ -395,9 +395,21 @@ class TestMain:
         (TINY, ["sweep", "--axis", "eps", "--ladder", "0.4,0.2,0.1",
                 "--workers", "0"]),
         (TINY, ["sweep", "--axis", "eps", "--ladder", "0.4,0.2,0.1",
-                "--workers", "-3"])),
+                "--workers", "-3"]),
+        (TINY + "ic = constant(1, 2)\n", ["run"]),
+        (TINY + "ic = radial-bump(1, 0.5, 3)\n", ["run"]),
+        (TINY + "ic = random(0.1, 2, 3)\n", ["run"]),
+        (TINY + "ic = random(0.1, 2.5)\n", ["run"]),
+        (TINY + "ic = random(0.1, nan)\n", ["run"]),
+        (TINY + "source_f = zero(1)\n", ["run"]),
+        (TINY + "source_f = constant(1, 2)\n", ["run"]),
+        (TINY + "source_g = ramp(1, 2)\n", ["run"])),
         ids=("rings-0", "sectors-2", "missing-config", "missing-mesh-file",
-             "ladder-not-numeric", "workers-0", "workers-negative"))
+             "ladder-not-numeric", "workers-0", "workers-negative",
+             "ic-constant-two-args", "ic-bump-three-args",
+             "ic-random-three-args", "ic-random-fractional-seed",
+             "ic-random-nan-seed", "source-zero-one-arg",
+             "source-constant-two-args", "source-ramp-two-args"))
     def test_bad_input_exit_2_with_message(self, tmp_path, capsys, body,
                                            args):
         # "missing" names a file in tmp_path that does not exist

@@ -179,32 +179,11 @@ def test_concurrent_first_use_builds_one_factorization():
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            got = list(pool.map(lambda _: ops.bulk.solver("shifted"),
+            got = list(pool.map(lambda _: ops.bulk.solver("mass"),
                                 range(8), timeout=60))
     finally:
         sys.setswitchinterval(old)
     assert all(g is got[0] for g in got)
-
-
-class TestShiftedInverse:
-    def test_constants_are_fixed_points(self, small_ops):
-        for part in sides(small_ops):
-            c = 3.0 * np.ones(size(part))
-            assert np.abs(diskfem.inv_shifted(part, c) - 3.0).max() < 1e-10
-            z = np.zeros(size(part))
-            assert np.abs(diskfem.inv_shifted(part, z)).max() == 0.0
-
-    def test_mean_preserved(self, small_ops, rng):
-        for part in sides(small_ops):
-            v = rng.standard_normal(size(part))
-            u = diskfem.inv_shifted(part, v)
-            assert abs(diskfem.mean(part, u) - diskfem.mean(part, v)) \
-                < 1e-10, part.name
-
-    def test_boundary_variant(self, small_ops):
-        c = -2.0 * np.ones(small_ops.mesh.n_bdry)
-        assert np.abs(diskfem.inv_shifted_bdry(small_ops, c) + 2.0).max() \
-            < 1e-10
 
 
 class TestGreen:

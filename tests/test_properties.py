@@ -182,6 +182,6 @@ def test_steps_conserve_means_and_dissipate(rings, sectors, kind, eps,
     assert traj.ok
     aug = [(diskfem.mean(ops.bulk, s.phi + h * s.mu),
             diskfem.mean(ops.bdry, s.psi + h * s.w)) for s in traj.states]
-    assert np.abs(np.array(aug) - aug[0]).max() <= 1e-9
+    assert np.abs(np.array(aug) - aug[0]).max() <= 1e-13
     lyap = [diagnostics.lyapunov(s, pair, eps, h, ops) for s in traj.states]
     assert max(b - a for a, b in zip(lyap, lyap[1:])) <= 1e-10

@@ -229,7 +229,7 @@ class TestSolveStep:
         assert traj.ok
         reports = traj.reports[1:]
         assert sum(r.refactors for r in reports) < sum(
-            r.linsolves - 2 for r in reports)
+            r.linsolves for r in reports)
         fn = np.zeros(tiny_ops.mesh.n_bulk)
         gn = np.zeros(tiny_ops.mesh.n_bdry)
         for prev, new in zip(traj.states, traj.states[1:]):
@@ -271,19 +271,23 @@ class TestSolveStep:
         assert abs(A - A.T).max() == 0.0
 
     def test_augmented_means_conserved(self, tiny_ops):
+        # the means are pinned to rounding level, not to the Newton
+        # tolerance, so a loose tolerance must conserve them as well
         x = tiny_ops.mesh.vertices[:, 0]
-        data, params = tiny_problem(tiny_ops, f=0.5 + x,
-                                    g=np.ones(tiny_ops.mesh.n_bdry))
-        state = stepper.initial_state(data, tiny_ops)
-        h = params.h
-        m0 = diskfem.mean_bulk(tiny_ops, state.phi + h * state.mu)
-        mg0 = diskfem.mean_bdry(tiny_ops, state.psi + h * state.w)
-        for _ in range(3):
-            state, _ = stepper.solve_step(state, data, params, tiny_ops)
-            assert abs(diskfem.mean_bulk(tiny_ops, state.phi + h * state.mu)
-                       - m0) < 1e-10
-            assert abs(diskfem.mean_bdry(tiny_ops, state.psi + h * state.w)
-                       - mg0) < 1e-10
+        for tol in (1e-10, 1e-6):
+            data, params = tiny_problem(tiny_ops, f=0.5 + x,
+                                        g=np.ones(tiny_ops.mesh.n_bdry),
+                                        newton_tol=tol)
+            state = stepper.initial_state(data, tiny_ops)
+            h = params.h
+            m0 = diskfem.mean_bulk(tiny_ops, state.phi + h * state.mu)
+            mg0 = diskfem.mean_bdry(tiny_ops, state.psi + h * state.w)
+            for _ in range(3):
+                state, _ = stepper.solve_step(state, data, params, tiny_ops)
+                assert abs(diskfem.mean_bulk(
+                    tiny_ops, state.phi + h * state.mu) - m0) < 1e-13
+                assert abs(diskfem.mean_bdry(
+                    tiny_ops, state.psi + h * state.w) - mg0) < 1e-13
 
     def test_trace_consistency(self, tiny_ops):
         data, params = tiny_problem(tiny_ops)
@@ -484,7 +488,7 @@ class TestRun:
         # rejected, then one pivoted LU serves every later direction
         assert sum(r.fallbacks for r in reports) == 1
         assert sum(r.refactors for r in reports) == 2
-        assert len(solves) == sum(r.linsolves - 2 for r in reports) - 1
+        assert len(solves) == sum(r.linsolves for r in reports) - 1
         assert len(solves) > 1
 
     def test_obstacle_interior_run_factorizes_once(self, tiny_ops):
@@ -604,15 +608,17 @@ class TestFourierFactor:
 
     def test_cut_fourier_direction_switches_to_exact_lu(self, tiny_ops,
                                                         monkeypatch):
-        # a non-finite direction fails every trial of the line search
+        # a non-finite direction fails every trial of the line search; the
+        # log resolvent cannot even evaluate such a trial point
         monkeypatch.setattr(stepper._FourierFactor, "solve",
                             lambda self, v: np.full_like(v, np.nan))
-        data, params = tiny_problem(tiny_ops, "regular", amp=0.3)
-        traj = stepper.run(data, params, tiny_ops)
-        assert traj.ok
-        assert all(r.exact_lu for r in traj.reports[1:])
-        # the Fourier factor, then the exact LU that replaced it
-        assert traj.reports[1].refactors == 2
+        for kind in ("regular", "log"):
+            data, params = tiny_problem(tiny_ops, kind, amp=0.3)
+            traj = stepper.run(data, params, tiny_ops)
+            assert traj.ok, (kind, traj.failure)
+            assert all(r.exact_lu for r in traj.reports[1:])
+            # the Fourier factor, then the exact LU that replaced it
+            assert traj.reports[1].refactors == 2
 
     def test_ring_numbered_mesh_of_another_shape_is_solved_exactly(self):
         mesh = diskfem.gen_disk_mesh(3, 8)
