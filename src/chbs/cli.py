@@ -88,6 +88,7 @@ _RANGES = {
     "c0": (0.0, math.inf),
     "ratio_cap": (0.0, math.inf),
     "newton_tol": (1e-300, math.inf),
+    "newton_max": (1, math.inf),
 }
 
 
@@ -351,8 +352,11 @@ def cmd_sweep(cfg, axis, ladder, workers=1, echo=print):
         echo("unknown sweep axis %r (expected one of %s)"
              % (axis, ", ".join(_SWEEP_AXES)))
         return 2
-    if len(ladder) < 3 or any(b >= a for a, b in zip(ladder, ladder[1:])):
-        echo("ladder must be strictly decreasing with at least 3 values")
+    # "not b < a" rather than "b >= a": NaN compares false
+    if (len(ladder) < 3 or not all(map(math.isfinite, ladder))
+            or any(not b < a for a, b in zip(ladder, ladder[1:]))):
+        echo("ladder must be finite and strictly decreasing with at least "
+             "3 values")
         return 2
     if workers < 1:
         echo("workers must be at least 1")

@@ -65,6 +65,10 @@ class SchemeParams:
             bad.append("tau must lie in [0, 1]")
         if not 0.0 <= self.sigma <= 1.0:
             bad.append("sigma must lie in [0, 1]")
+        if not self.newton_tol > 0.0:
+            bad.append("newton_tol must be positive")
+        if not self.newton_max >= 1:
+            bad.append("newton_max must be at least 1")
         return bad
 
     @property
@@ -416,26 +420,7 @@ class _StepWorkspace:
     E puts the nodal graph term n(phi) on the mu rows.  So the Jacobian
     L + E n'(phi) E_phi^T moves only with the graph derivatives, which
     drift slowly along a trajectory, and one factor of it serves many
-    Newton updates, across iterations and time steps.  Whether it
-    still serves is read from the iteration itself (the simplified-Newton
-    rule of Hairer & Wanner, Solving ODEs II, IV.8, and Deuflhard 2004):
-    after each accepted update the contraction factor
-    theta = rms_new / rms_old is compared with ``THETA_MAX``, and a larger
-    theta marks the factor stale, so the next direction refactorizes at
-    the current iterate.  A line search that backtracks below alpha = 1/4
-    on an old factor also forces a fresh one.  While every node of an
-    obstacle run stays strictly inside (-1, 1) the Yosida derivative is
-    0, the Jacobian is constant and its first factor serves the whole run.
-
-    Neither simpler rule works.  A fixed age refactorizes every few
-    directions whether or not the old factor still contracts, and most of
-    the run goes into factorizations that change nothing.  Never
-    refactorizing lets a moving active set (obstacle graph, eps = 0.05)
-    slow the iteration to a crawl: one LU for 100 steps costs 641 Newton
-    iterations where the contraction rule needs about 300.  The decision
-    reads residuals only, never timings, so runs stay deterministic;
-    correctness rests on the exact residual, not on the factor being
-    current.
+    Newton updates, across iterations and time steps.
 
     Two Newton matrices are used, both row-mapped by R (below).  On a
     ring-numbered mesh (see ``_ring_layout``) L commutes with the rotation
@@ -444,16 +429,35 @@ class _StepWorkspace:
     Jacobian: d is replaced by its mean over each ring of the bulk and
     over the boundary loop (T. F. Chan's optimal circulant, SIAM J. Sci.
     Stat. Comput. 9, 1988), which ``_FourierFactor`` solves mode by mode,
-    at a fraction of the fill of an LU of the whole matrix.  The run
-    leaves that path for good when a fresh Fourier factor's first
-    accepted update contracts by more than ``THETA_MAX``, or when the
-    line search cuts one of its directions below alpha = 1/4 (a
-    non-finite direction always is).  From then on, and from the start on
-    any other mesh, the factor is the exact LU of R J.  On the regular
-    and log desk runs the average contracts at theta of about 1e-5 and
-    one Fourier factor serves the whole run; the perturbed active-set
-    obstacle data of the benchmark break the symmetry and switch within
-    the first step.
+    at a fraction of the fill of an LU of the whole matrix.  On any other
+    mesh the factor is the exact LU of R J from the start.
+
+    One rule, read from the iteration itself, judges every factor (the
+    simplified-Newton rule of Hairer & Wanner, Solving ODEs II, IV.8, and
+    Deuflhard 2004): the factor goes stale (``stale``) after an accepted
+    update whose contraction theta = rms_new / rms_old exceeds
+    ``THETA_MAX``, and when the line search cuts below alpha = 1/4 a
+    direction that did not come from a fresh exact LU (a non-finite
+    direction always is cut).  The next direction then builds a new factor
+    at the current iterate, and as a stale factor ends the Fourier path,
+    that factor and every later one is the exact LU.  On the regular and
+    log desk runs the average contracts at theta of about 1e-5 and one
+    Fourier factor serves the whole run; the perturbed active-set obstacle
+    data of the benchmark break the symmetry and switch within the first
+    step.  While every node of an obstacle run stays strictly inside
+    (-1, 1) the Yosida derivative is 0, the Jacobian is constant and its
+    first factor serves the whole run.
+
+    Neither simpler rule works.  A fixed age refactorizes every few
+    directions whether or not the old factor still contracts, and most of
+    the run goes into factorizations that change nothing.  Never
+    refactorizing lets a moving active set (obstacle graph, eps = 0.05)
+    slow the iteration to a crawl: one LU for 100 steps costs 641 Newton
+    iterations where the contraction rule needs about 300.  Rebuilding a
+    stale average as a new average lets some active-set obstacle runs
+    build a hundred of them.  The decision reads residuals only, never
+    timings, so runs stay deterministic; correctness rests on the exact
+    residual, not on the factor being current.
 
     The exact LU is of R J, not of J: the row map R orders the block rows
     as (mu, -h phi, -h w).  Inside the step guard R J is then symmetric
@@ -507,7 +511,6 @@ class _StepWorkspace:
         # (rings, sectors) while the run uses Fourier factors, else None
         self.rings = _ring_layout(mesh, self.L)
         self._lu = None
-        self._trial = False  # a fresh Fourier factor awaits its first theta
 
     def load(self, state, fn, gn):
         """b_n: the old level ``state`` and the averaged sources."""
@@ -546,26 +549,19 @@ class _StepWorkspace:
             + self.P.T @ self.ops.M_bdry.multiply(d_g[None, :]) @ self.P
         return self.L + self.E @ N @ self.E_phi.T
 
-    def direction(self, phi, r, report, fresh=False):
+    def direction(self, phi, r, report):
         """Newton direction for residual ``r``; returns ``(dx, final)``.
 
-        Solves (R J) dx = -R r with the current factor.  A new one is
-        built at ``phi`` when there is none or ``fresh`` is set, which the
-        line search does after cutting a direction below alpha = 1/4; a
-        cut Fourier direction also ends the Fourier path.  ``final`` says
-        that dx comes from a fresh exact LU, so a rebuild cannot do
-        better.  Solves, factorizations and fallbacks are counted in
-        ``report``.
+        Solves (R J) dx = -R r with the current factor, built at ``phi``
+        when there is none.  ``final`` says that dx comes from a fresh
+        exact LU, so a rebuild cannot do better.  Solves, factorizations
+        and fallbacks are counted in ``report``.
         """
         rhs = -(self.R @ r)
         final = False
-        if fresh:
-            self.rings = None
-        if fresh or self._lu is None:
-            self._lu = None  # free the old factors first
+        if self._lu is None:
             report.refactors += 1
-            self._trial = self.rings is not None
-            if self._trial:
+            if self.rings is not None:
                 self._lu = _FourierFactor(
                     self.R @ self.jacobian_matrix(phi, average=True),
                     *self.rings)
@@ -588,19 +584,12 @@ class _StepWorkspace:
         report.linsolves += 1
         return self._lu.solve(rhs), final
 
-    def observe(self, rms_old, rms_new):
-        """Mark the factor stale when an accepted update contracts too little.
-
-        Dropping the factor here also frees it before the next
-        factorization builds a new one.  A non-finite ratio marks it
-        stale.  On the first update of a fresh Fourier factor it also
-        ends the Fourier path.
-        """
-        if not rms_new <= self.THETA_MAX * rms_old:
-            self._lu = None
-            if self._trial:
-                self.rings = None
-        self._trial = False
+    def stale(self):
+        """Drop the factor, which also frees it before the next one is
+        built, and end the Fourier path: every later factor is the exact
+        LU."""
+        self._lu = None
+        self.rings = None
 
 
 def solve_step(state, data, params, ops, fn=None, gn=None, work=None,
@@ -652,14 +641,17 @@ def solve_step(state, data, params, ops, fn=None, gn=None, work=None,
                 # non-finite direction, say): reject it like a worse one
                 r_c, rms_c = None, math.inf
             if rms_c < rms or rms_c <= tol_inner:
-                work.observe(rms, rms_c)
+                # NaN-safe: a non-finite theta marks the factor stale
+                if not rms_c <= work.THETA_MAX * rms:
+                    work.stale()
                 x, r, rms = x_c, r_c, rms_c
                 break
             alpha *= 0.5
             if alpha < 0.25 and not final:
                 # an old or averaged factor produced a poor direction;
                 # rebuild and retry
-                dx, final = work.direction(x[:nb], r, report, fresh=True)
+                work.stale()
+                dx, final = work.direction(x[:nb], r, report)
                 alpha = 1.0
                 continue
             if alpha < DAMPING_MIN:

@@ -202,6 +202,7 @@ def test_criterion_07_eps_relaxation(desk_ops):
         + splu(ops.M_bdry.tocsc()).solve(ops.K_bdry @ psi_dag)
     viols = []
     monitor_max = []
+    counts = []
     for eps in (0.4, 0.2, 0.1, 0.05):
         params = stepper.SchemeParams(h=1e-3, t_final=0.25, tau=0.1,
                                       sigma=0.1, eps=eps)
@@ -209,6 +210,9 @@ def test_criterion_07_eps_relaxation(desk_ops):
         assert stepper.validate(data, params, ops).ok
         traj = stepper.run(data, params, ops)
         assert traj.ok
+        counts.append("eps %g: %d/%d" % (
+            eps, sum(r.newton_iters for r in traj.reports[1:]),
+            sum(r.refactors for r in traj.reports[1:])))
         viols.append(diagnostics.obstacle_violation(traj).max)
         monitor_max.append(
             diagnostics.apriori_monitor(traj, pair, params, ops).max_value())
@@ -217,8 +221,9 @@ def test_criterion_07_eps_relaxation(desk_ops):
     spread = max(monitor_max) / min(monitor_max)
     assert spread <= 2.0
     report("criterion 7: violations %s, decay factor %.2f, monitor spread "
-           "%.2f" % (["%.4f" % v for v in viols], viols[0] / viols[-1],
-                     spread))
+           "%.2f; Newton iterations/factorizations %s"
+           % (["%.4f" % v for v in viols], viols[0] / viols[-1], spread,
+              ", ".join(counts)))
 
 
 def test_criterion_08_continuous_dependence(desk_ops):

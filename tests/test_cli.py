@@ -1,4 +1,5 @@
 import filecmp
+import math
 import subprocess
 
 import numpy as np
@@ -164,7 +165,8 @@ class TestCmdRun:
                                echo=lambda *a: None)[0] == 2
 
     def test_solver_failure_exit_3_with_partial_outputs(self, tmp_path):
-        body = TINY + "ic = random(0.3, 3)\nnewton_max = 0\n"
+        # the first step needs three Newton iterations
+        body = TINY + "ic = random(0.3, 3)\nnewton_max = 1\n"
         cfg = cli.parse_config(write_config(tmp_path, body))
         out = tmp_path / "out3"
         code, traj = cli.execute_run(cfg, out_dir=str(out),
@@ -283,10 +285,15 @@ class TestCmdSweep:
                              echo=lambda *a: None) == 2
         assert cli.cmd_sweep(cfg, "tau", [4e-3, 2e-3, 1e-3],
                              echo=lambda *a: None) == 2
+        # NaN compares false, so it must not pass for decreasing
+        for ladder in ([math.nan, 0.2, 0.1], [0.4, math.nan, 0.1],
+                       [0.4, 0.2, math.nan], [math.inf, 0.2, 0.1]):
+            assert cli.cmd_sweep(cfg, "eps", ladder,
+                                 echo=lambda *a: None) == 2
 
     def test_member_failures_recorded(self, tmp_path):
         body = ("mesh_rings = 3\nmesh_sectors = 12\nic = random(0.3, 3)\n"
-                "t_final = 0.004\nnewton_max = 0\n")
+                "t_final = 0.004\nnewton_max = 1\n")
         cfg = cli.parse_config(write_config(tmp_path, body))
         import dataclasses
         cfg = dataclasses.replace(cfg, out_dir=str(tmp_path / "sweep"))
@@ -306,10 +313,10 @@ class TestCmdContdep:
         assert any("lhs=0" in m for m in msgs)
 
     def test_differing_solver_fields_rejected(self, tmp_path):
-        # newton_max = 0 fails every step: each order must be rejected up
-        # front, not run with the first config's solver settings
+        # newton_max = 1 fails the first step: each order must be rejected
+        # up front, not run with the first config's solver settings
         a = cli.parse_config(write_config(tmp_path, TINY, "a.cfg"))
-        for extra in ("sigma = 0.2\n", "newton_max = 0\n"):
+        for extra in ("sigma = 0.2\n", "newton_max = 1\n"):
             b = cli.parse_config(write_config(tmp_path, TINY + extra,
                                               "b.cfg"))
             for first, second in ((a, b), (b, a)):
@@ -403,13 +410,17 @@ class TestMain:
         (TINY + "ic = random(0.1, nan)\n", ["run"]),
         (TINY + "source_f = zero(1)\n", ["run"]),
         (TINY + "source_f = constant(1, 2)\n", ["run"]),
-        (TINY + "source_g = ramp(1, 2)\n", ["run"])),
+        (TINY + "source_g = ramp(1, 2)\n", ["run"]),
+        (TINY + "newton_max = 0\n", ["run"]),
+        (TINY + "newton_max = -3\n", ["run"]),
+        (TINY, ["sweep", "--axis", "eps", "--ladder", "nan,0.2,0.1"])),
         ids=("rings-0", "sectors-2", "missing-config", "missing-mesh-file",
              "ladder-not-numeric", "workers-0", "workers-negative",
              "ic-constant-two-args", "ic-bump-three-args",
              "ic-random-three-args", "ic-random-fractional-seed",
              "ic-random-nan-seed", "source-zero-one-arg",
-             "source-constant-two-args", "source-ramp-two-args"))
+             "source-constant-two-args", "source-ramp-two-args",
+             "newton-max-0", "newton-max-negative", "ladder-nan"))
     def test_bad_input_exit_2_with_message(self, tmp_path, capsys, body,
                                            args):
         # "missing" names a file in tmp_path that does not exist

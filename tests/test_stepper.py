@@ -141,6 +141,12 @@ class TestValidate:
         params = stepper.SchemeParams(h=1e-3, t_final=1e-2, eps=1.5, tau=2.0)
         rep = stepper.validate(data, params, tiny_ops)
         assert len(rep.violations) >= 2
+        for bad in (dict(newton_max=0), dict(newton_max=-3),
+                    dict(newton_tol=0.0), dict(newton_tol=-1e-10),
+                    dict(newton_tol=math.nan)):
+            params = stepper.SchemeParams(h=1e-3, t_final=1e-2, **bad)
+            rep = stepper.validate(data, params, tiny_ops)
+            assert [v.split()[0] for v in rep.violations] == list(bad), bad
 
     @pytest.mark.parametrize("which", ("f", "g"))
     @pytest.mark.parametrize("defect", ("nan", "inf", "short",
@@ -603,7 +609,9 @@ class TestFourierFactor:
         traj = stepper.run(data, params, ops)
         assert traj.ok
         assert [r.exact_lu for r in traj.reports[1:]] == [True, True]
-        assert kinds[0] == complex and kinds[-1] == float
+        # one Fourier factor, then exact LUs only
+        assert kinds[0] == complex and len(kinds) > 1
+        assert all(kind == float for kind in kinds[1:]), kinds
         assert len(kinds) == sum(r.refactors for r in traj.reports[1:])
 
     def test_cut_fourier_direction_switches_to_exact_lu(self, tiny_ops,
