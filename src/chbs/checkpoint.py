@@ -9,17 +9,20 @@ A checkpoint file holds one block per recorded state::
     <w>
 
 each row one line of space-separated ``%.17g`` values, so that a file
-reads back bit-exactly.  Printing 17-digit floats costs about a
-microsecond per value, as much as a step's solves on a desk mesh, so a
-run does not print them itself: :class:`Stream` is a run hook that sends
-the raw float64 bytes of each block through a pipe to a child process
-running this file, which formats and writes them while the solver goes
-on.  The child writes a block only after all of its bytes have arrived,
-and flushes it, so a run that crashes or is interrupted leaves only
-complete blocks.
+reads back bit-exactly.  Python prints a 17-digit float in about a
+microsecond, in every form it has, so :func:`format_row` prints a whole
+row with an exact vectorized kernel, at about a quarter of that.  A run
+does not print even so: :class:`Stream` is a run hook that sends the raw
+float64 bytes of each block through a pipe to a child process running
+this file, which formats and writes them while the solver goes on.  The
+child writes a block only after all of its bytes have arrived, and
+flushes it, so a run that crashes or is interrupted leaves only complete
+blocks.
 
-This module imports only the standard library and nothing of chbs, so
-the child starts as ``python -I -S <this file> <path>`` without numpy.
+This module imports numpy and the standard library, nothing of chbs or
+scipy.  The child starts as ``python -I -S <this file> <dir> <path>``
+(:func:`writer_command`), without ``site``; ``<dir>`` is the directory
+that holds the parent's numpy, so that it loads the same one.
 """
 
 import os
@@ -27,17 +30,165 @@ import signal
 import struct
 import sys
 
+if __name__ == "__main__":
+    # the writer process.  Ctrl-C reaches the whole process group; the
+    # parent closes the pipe and the writer finishes the blocks it has.
+    # It starts without site, and its first argument is the directory
+    # that holds the parent's numpy (see writer_command).
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    sys.path.append(sys.argv[1])
+
+import numpy as np
+
 FIELDS = ("phi", "mu", "psi", "w")
 # block header on the pipe: step, time and the length of each row; the
 # rows follow as native float64
 _HEADER = struct.Struct("=qd%dq" % len(FIELDS))
 
+# the decimal exponents k = floor(log10|x|) that format_row certifies:
+# those of 1e-280 <= |x| <= 1e280, where every product below stays clear
+# of underflow and overflow
+_K_MIN, _K_MAX = -281, 280
+_SPLIT = 134217729.0  # 2^27 + 1: Dekker's splitting constant
+# format_row lays out one value per column of a byte array, in these
+# rows: sign, "0." and three leading zeros, 17 digits with a point slot
+# after each of the first 16, "e", the exponent's sign and three digits,
+# and the separator
+_DIGIT = 6
+_EXP = _DIGIT + 33
+_WIDTH = _EXP + 6
+_J = np.arange(17, dtype=np.int8)[:, None]  # digit index, as a column
+
+
+def _split(a):
+    """Dekker's split of ``a`` into halves of at most 26 bits each."""
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _pow10(p):
+    """The double nearest to 10^p, and 10^p minus it as the integer pair
+    (numerator, denominator)."""
+    num, den = (10 ** p, 1) if p >= 0 else (1, 10 ** -p)
+    h = num / den  # int / int rounds correctly
+    a, b = h.as_integer_ratio()
+    return h, (num * b - a * den, den * b)
+
+
+def _tables():
+    """The smallest double >= 10^k for k in [_K_MIN, _K_MAX + 1], and for
+    k in [_K_MIN, _K_MAX] 10^(16-k) as the sum hi + lo of two doubles,
+    with hi split."""
+    thresh = []
+    for k in range(_K_MIN, _K_MAX + 2):
+        h, (rest, _) = _pow10(k)
+        thresh.append(h if rest <= 0 else np.nextafter(h, np.inf))
+    hi, lo = [], []
+    for k in range(_K_MIN, _K_MAX + 1):
+        h, (rest, den) = _pow10(16 - k)
+        hi.append(h)
+        lo.append(rest / den)
+    hi = np.array(hi)
+    return (np.array(thresh), hi) + _split(hi) + (np.array(lo),)
+
+
+_THRESH, _POW_HI, _POW_HH, _POW_HL, _POW_LO = _tables()
+
+
+def format_row(values):
+    """``" ".join("%.17g" % v for v in values)`` for float64 ``values``.
+
+    Vectorized and exact.  With k = floor(log10|x|), read off a table of
+    powers of ten, d = round(|x| 10^(16-k)) comes from Dekker's exact
+    two-product (Numer. Math. 18, 1971) of |x| with 10^(16-k) held as a
+    pair of doubles, which gives |x| 10^(16-k) < 10^17 to about 2^-47.
+    The sign, the 17 digits of d, the point and the exponent go into one
+    fixed-width byte array, with NUL in every unused slot and for the
+    trailing zeros, and one ``bytes.translate`` drops the NULs.  A value
+    the kernel cannot certify is printed by ``%.17g`` itself: zero,
+    non-finite, |x| outside [1e-280, 1e280], or a fraction of
+    |x| 10^(16-k) within 2^-30 of one half (a possible tie).
+    """
+    x = np.asarray(values, dtype=np.float64).ravel()
+    n = x.size
+    if n == 0:
+        return ""
+    a = np.abs(x)
+    sure = (a >= 1e-280) & (a <= 1e280)  # also False for NaN
+    a[~sure] = 1.0
+    # the float log10 may be one off next to a power of ten
+    guess = np.floor(np.log10(a)).astype(np.intp) - _K_MIN
+    i = guess + (a >= _THRESH[guess + 1])
+    i -= a < _THRESH[guess]
+    # |x| 10^(16-k) = p + e, exact up to the rounding of a * lo; p >=
+    # 10^16 > 2^53 is an integer
+    ah, al = _split(a)
+    hh, hl = _POW_HH[i], _POW_HL[i]
+    p = a * _POW_HI[i]
+    e = ((ah * hh - p) + ah * hl + al * hh) + al * hl + a * _POW_LO[i]
+    whole = np.floor(e)
+    frac = e - whole
+    sure &= np.abs(frac - 0.5) >= 2.0 ** -30
+    d = p.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    carry = d == 10 ** 17
+    d[carry] = 10 ** 16
+    k = (i + _K_MIN).astype(np.int16) + carry  # exponent of the result
+
+    # digit j is q_j - 10 q_{j-1} for the prefixes q_j = d // 10^(16-j),
+    # taken mod 256
+    q = np.empty((17, n), np.int64)
+    for j in range(17):
+        np.floor_divide(d, 10 ** (16 - j), out=q[j])
+    digits = q.astype(np.uint8)
+    digits[1:] -= np.uint8(10) * digits[:-1]
+    last = ((digits != 0) * _J).max(axis=0)  # the last nonzero digit
+    fixed = (k >= -4) & (k < 17)
+    small = fixed & (k < 0)  # printed as 0.000ddd
+    # the digit after which the point goes (-1: before the first; 16:
+    # nowhere), and the last digit printed
+    point = np.where(fixed, np.maximum(k, -1), 0).astype(np.int8)
+    shown = np.maximum(last, point)
+
+    out = np.zeros((_WIDTH, n), np.uint8)
+    out[0] = (x < 0) * np.uint8(ord("-"))
+    out[1] = small * np.uint8(ord("0"))
+    out[2] = small * np.uint8(ord("."))
+    for j in range(3):
+        out[3 + j] = (small & (j < -k - 1)) * np.uint8(ord("0"))
+    out[_DIGIT:_EXP:2] = (_J <= shown) * (digits + np.uint8(ord("0")))
+    out[_DIGIT + 1:_EXP:2] = ((_J[:16] == point) & (last > point)) \
+        * np.uint8(ord("."))
+    sci = ~fixed
+    ak = np.abs(k)
+    out[_EXP] = sci * np.uint8(ord("e"))
+    out[_EXP + 1] = sci * np.where(k < 0, np.uint8(ord("-")),
+                                   np.uint8(ord("+")))
+    out[_EXP + 2] = (sci & (ak >= 100)) * (ord("0") + ak // 100)
+    out[_EXP + 3] = sci * (ord("0") + ak // 10 % 10)
+    out[_EXP + 4] = sci * (ord("0") + ak % 10)
+    out[-1, :-1] = ord(" ")
+    for m in np.flatnonzero(~sure):
+        text = ("%.17g" % x[m]).encode("ascii")
+        out[:-1, m] = 0
+        out[:len(text), m] = np.frombuffer(text, np.uint8)
+    return out.T.tobytes().translate(None, b"\0").decode("ascii")
+
 
 def format_block(n, t, rows):
     """The text of one block: ``state n t``, then one line per row."""
-    lines = ["state %d %.17g" % (n, t)]
-    lines += [" ".join(["%.17g"] * len(row)) % tuple(row) for row in rows]
+    lines = ["state %d %.17g" % (n, t)] + [format_row(row) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def writer_command(path):
+    """The command line of the writer process for the file ``path``.
+
+    ``-I -S`` keeps the user's environment and ``site`` out of the
+    child; the directory of the parent's numpy stands in for them.
+    """
+    return [sys.executable, "-I", "-S", os.path.abspath(__file__),
+            os.path.dirname(os.path.dirname(np.__file__)), os.fspath(path)]
 
 
 def encode_block(n, t, rows):
@@ -63,11 +214,8 @@ def write_blocks(src, out):
         body = src.read(8 * sum(sizes))
         if len(body) < 8 * sum(sizes):
             return 1
-        values = memoryview(body).cast("d")
-        rows, start = [], 0
-        for size in sizes:
-            rows.append(values[start:start + size].tolist())
-            start += size
+        values = np.frombuffer(body, dtype=np.float64)
+        rows = np.split(values, np.cumsum(sizes)[:-1])
         out.write(format_block(n, t, rows))
         out.flush()
 
@@ -101,12 +249,11 @@ class Stream:
                 from None
 
     def _start(self):
-        # only the parent imports these; the writer starts without them
+        # only the parent needs these
         import fcntl
         import subprocess
-        proc = subprocess.Popen(
-            [sys.executable, "-I", "-S", os.path.abspath(__file__),
-             self.path], stdin=subprocess.PIPE)
+        proc = subprocess.Popen(writer_command(self.path),
+                                stdin=subprocess.PIPE)
         try:
             # room for about ten desk-mesh blocks, so that the run seldom
             # waits for the writer; the default 64 KiB holds less than one
@@ -141,12 +288,9 @@ class Stream:
 
 
 def main(argv):
-    """Writer process: blocks from stdin to the file ``argv[1]``."""
-    # Ctrl-C reaches the whole process group; the parent closes the pipe
-    # and the writer finishes the blocks it has
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    """Writer process: blocks from stdin to the file ``argv[2]``."""
     try:
-        out = open(argv[1], "w", encoding="utf-8")
+        out = open(argv[2], "w", encoding="utf-8")
     except OSError as exc:
         print("checkpoint writer: %s" % exc, file=sys.stderr)
         return 2

@@ -307,11 +307,24 @@ def execute_on(cfg, ops, out, echo=print):
     records = []
     hook = diagnostics.record_hook(records, data.pair, params, ops,
                                    stride=cfg.stride)
-    # the checkpoint text is formatted by a writer process while the run
-    # goes on; the stream's exit waits for it
-    with checkpoint.Stream(os.path.join(out, "checkpoints.txt"),
-                           cfg.stride) as stream:
-        traj = stepper.run(data, params, ops, hooks=(stream, hook))
+    reached = [0]  # the step of the last state the run reached
+
+    def note(state, report):
+        reached[0] = state.n
+
+    try:
+        # the checkpoint text is formatted by a writer process while the
+        # run goes on; the stream's exit waits for it
+        with checkpoint.Stream(os.path.join(out, "checkpoints.txt"),
+                               cfg.stride) as stream:
+            traj = stepper.run(data, params, ops,
+                               hooks=(stream, hook, note))
+    except KeyboardInterrupt:
+        # the rows and the blocks made so far survive the interrupt
+        diagnostics.write_csv(records, os.path.join(out, "run.csv"))
+        summary.append("interrupted at step %d" % reached[0])
+        _write_summary(os.path.join(out, "summary.txt"), summary)
+        raise
     diagnostics.write_csv(records, os.path.join(out, "run.csv"))
     if not traj.ok:
         msg = ("solver failure at step %d: %s"
@@ -579,6 +592,26 @@ def _selftest_conservation():
     return True, "mass drift %.3e / %.3e, dissipation ok" % tuple(drifts)
 
 
+def _selftest_checkpoint():
+    # subnormal, normal and largest extremes, the two exact ties of 17
+    # digits, and each power of ten in range with both neighbours, which
+    # holds the switches to exponent notation below 1e-4 and from 1e17
+    edges = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+             1234567890123456.25, 1234567890123456.75]
+    for p in range(-300, 301):
+        v = float("1e%d" % p)
+        edges += [np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)]
+    values = np.array(edges)
+    values = np.concatenate([values, -values])
+    got = checkpoint.format_block(0, 0.0, [values]).split()[3:]
+    want = ["%.17g" % v for v in values]
+    if got != want:
+        bad = next((g, w) for g, w in zip(got + [""], want + [""])
+                   if g != w)
+        return False, "format_block prints %r where %%.17g gives %r" % bad
+    return True, "%d edge values printed as %%.17g" % values.size
+
+
 def cmd_selftest(mesh_file=None, echo=print):
     groups = [
         ("graphs", _selftest_graphs),
@@ -586,6 +619,7 @@ def cmd_selftest(mesh_file=None, echo=print):
         ("stepper-oracle", _selftest_stepper_oracle),
         ("interpolant-identity", _selftest_tool3),
         ("mass-dissipation", _selftest_conservation),
+        ("checkpoint-text", _selftest_checkpoint),
     ]
     failed = False
     for name, fn in groups:
@@ -696,6 +730,9 @@ def main(argv=None):
         # a config, mesh or output path given by the user is unusable
         print("file error: %s" % exc, file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
     parser.error("unknown command")
 
 

@@ -766,8 +766,7 @@ def save_trajectory(traj, path, stride=1):
             if state.n % stride == 0:
                 fh.write(checkpoint.format_block(
                     state.n, state.t,
-                    [getattr(state, name).tolist()
-                     for name in checkpoint.FIELDS]))
+                    [getattr(state, name) for name in checkpoint.FIELDS]))
 
 
 def load_states(path):

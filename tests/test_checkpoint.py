@@ -2,16 +2,47 @@
 
 import ast
 import subprocess
-import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chbs import checkpoint, graphs, stepper
 from chbs.errors import ParseError
 
-# what the writer process may import: it starts with -I -S, without numpy
-WRITER_IMPORTS = {"fcntl", "os", "signal", "struct", "subprocess", "sys"}
+# what the writer process may import: it starts with -I -S, and finds
+# numpy in the directory of the parent's numpy
+WRITER_IMPORTS = {"fcntl", "numpy", "os", "signal", "struct", "subprocess",
+                  "sys"}
+
+
+def printf(values):
+    """The oracle of the checkpoint text: Python's own ``%.17g``."""
+    return " ".join("%.17g" % v for v in values)
+
+
+def assert_printf(text, values):
+    """``text`` is ``values`` printed by ``%.17g``; a failure names the
+    first values that differ rather than diffing megabytes."""
+    want = printf(values)
+    if text != want:
+        bad = [(g, w) for g, w in zip(text.split(" "), want.split(" "))
+               if g != w]
+        pytest.fail("got/want %r, lengths %d/%d"
+                    % (bad[:5], len(text), len(want)))
+
+
+def edge_values():
+    # subnormal, normal and largest extremes, and each power of ten in
+    # range with both neighbours: the switches to exponent notation below
+    # 1e-4 and from 1e17 are among them
+    edges = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+             0.0, np.inf, np.nan]
+    for p in range(-300, 301):
+        v = float("1e%d" % p)
+        edges += [np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)]
+    edges = np.array(edges)
+    return np.concatenate([edges, -edges])
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +86,48 @@ def test_writer_imports_only_the_allowed_stdlib():
         elif isinstance(node, ast.ImportFrom):
             assert node.level == 0, "relative import"
             names.add(node.module.split(".")[0])
+    assert not names & {"chbs", "scipy"}
     assert names <= WRITER_IMPORTS, names - WRITER_IMPORTS
+
+
+class TestFormatRowIsPrintf:
+    @settings(derandomize=True, deadline=None)
+    @given(st.lists(st.floats(), max_size=40))
+    def test_any_floats(self, values):
+        # st.floats() draws NaN, both infinities, both zeros and
+        # subnormals too
+        row = np.array(values, dtype=np.float64)
+        assert_printf(checkpoint.format_row(row), values)
+        block = checkpoint.format_block(3, 0.5, [row, row[::-1]])
+        head, first, second, end = block.split("\n")
+        assert (head, end) == ("state 3 0.5", "")
+        assert_printf(first, row)
+        assert_printf(second, row[::-1])
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(15).integers(
+            0, 2 ** 64, 10 ** 5, dtype=np.uint64, endpoint=False)
+        values = bits.view(np.float64)
+        assert_printf(checkpoint.format_row(values), values)
+
+    def test_edge_values(self):
+        values = edge_values()
+        assert_printf(checkpoint.format_row(values), values)
+        head, row, end = checkpoint.format_block(0, 0.0, [values]).split("\n")
+        assert (head, end) == ("state 0 0", "")
+        assert_printf(row, values)
+
+    def test_exact_ties_round_half_even(self):
+        values = np.array([1234567890123456.25, 1234567890123456.75])
+        assert checkpoint.format_row(values) == printf(values) \
+            == "1234567890123456.2 1234567890123456.8"
+
+    def test_rows_and_lists_alike(self, traj):
+        for state in traj.states:
+            for row in rows(state):
+                assert_printf(checkpoint.format_row(row), row)
+                assert_printf(checkpoint.format_row(row.tolist()), row)
+        assert checkpoint.format_row([]) == printf([]) == ""
 
 
 def test_cut_stream_keeps_complete_blocks(traj, tmp_path):
@@ -66,9 +138,9 @@ def test_cut_stream_keeps_complete_blocks(traj, tmp_path):
     cut = len(blocks[2]) - 8 * sum(r.size for r in rows(third)) \
         + 8 * (third.phi.size // 2)
     path = tmp_path / "checkpoints.txt"
-    proc = subprocess.run(
-        [sys.executable, "-I", "-S", checkpoint.__file__, str(path)],
-        input=blocks[0] + blocks[1] + blocks[2][:cut], timeout=60)
+    proc = subprocess.run(checkpoint.writer_command(path),
+                          input=blocks[0] + blocks[1] + blocks[2][:cut],
+                          timeout=60)
     assert proc.returncode != 0
     assert path.read_text() == saved_text(tmp_path, [first, second])
     assert_states_equal(stepper.load_states(path), [first, second])

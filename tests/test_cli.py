@@ -5,7 +5,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from chbs import cli, diskfem, stepper
+from chbs import checkpoint, cli, diskfem, stepper
 from chbs.errors import ParseError, UnknownKey
 from conftest import renumbered
 
@@ -179,6 +179,34 @@ class TestCmdRun:
         assert len(traj.states) == 1
         assert ((out / "checkpoints.txt").read_bytes()
                 == (tmp_path / "saved.txt").read_bytes())
+
+    def test_interrupt_keeps_rows_summary_and_blocks(self, tmp_path,
+                                                     monkeypatch):
+        cfg = cli.parse_config(write_config(tmp_path,
+                                            TINY + "ic = random(0.3, 7)\n"))
+        full = tmp_path / "full"
+        assert cli.execute_run(cfg, out_dir=str(full),
+                               echo=lambda *a: None)[0] == 0
+        solve = stepper.solve_step
+
+        def interrupted(state, *args, **kwargs):
+            if state.n == 2:  # Ctrl-C while solving for step 3
+                raise KeyboardInterrupt
+            return solve(state, *args, **kwargs)
+
+        monkeypatch.setattr(stepper, "solve_step", interrupted)
+        out = tmp_path / "out"
+        with pytest.raises(KeyboardInterrupt):
+            cli.execute_run(cfg, out_dir=str(out), echo=lambda *a: None)
+        rows = (out / "run.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in rows[1:]] == ["0", "1", "2"]
+        assert rows == (full / "run.csv").read_text().splitlines()[:4]
+        assert "interrupted at step 2" in \
+            (out / "summary.txt").read_text().splitlines()
+        text = (out / "checkpoints.txt").read_text()
+        assert (full / "checkpoints.txt").read_text().startswith(text)
+        assert [s.n for s in stepper.load_states(out / "checkpoints.txt")] \
+            == [0, 1, 2]
 
     def test_streamed_checkpoints_match_save_trajectory(self, tmp_path):
         body = TINY + "ic = random(0.3, 7)\nstride = 2\n"
@@ -361,6 +389,13 @@ class TestSelftestAndInfo:
         assert cli.cmd_selftest(mesh_file=str(bad), echo=msgs.append) == 1
         assert any("diskfem" in m and "FAIL" in m for m in msgs)
 
+    def test_selftest_catches_wrong_checkpoint_text(self, monkeypatch):
+        monkeypatch.setattr(checkpoint, "format_row", lambda values: " ".join(
+            "%.16g" % v for v in values))
+        msgs = []
+        assert cli.cmd_selftest(echo=msgs.append) == 1
+        assert any("checkpoint-text" in m and "FAIL" in m for m in msgs)
+
     def test_mesh_info(self, tmp_path):
         cfg = cli.parse_config(write_config(tmp_path, TINY))
         msgs = []
@@ -374,6 +409,19 @@ class TestMain:
         code = cli.main(["run", "--config", path,
                          "--out", str(tmp_path / "out")])
         assert code == 0
+
+    def test_interrupt_exit_130(self, tmp_path, monkeypatch, capfd):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(stepper, "solve_step", interrupted)
+        path = write_config(tmp_path, TINY + "ic = random(0.3, 3)\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", path, "--out", str(out)]) == 130
+        assert "interrupted" in capfd.readouterr().err
+        assert "interrupted at step 0" in \
+            (out / "summary.txt").read_text().splitlines()
+        assert len((out / "run.csv").read_text().splitlines()) == 2
 
     def test_config_error_exit_2(self, tmp_path):
         path = write_config(tmp_path, "tau = 9\n")
