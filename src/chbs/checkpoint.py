@@ -105,18 +105,20 @@ def format_row(values):
     pair of doubles, which gives |x| 10^(16-k) < 10^17 to about 2^-47.
     The sign, the 17 digits of d, the point and the exponent go into one
     fixed-width byte array, with NUL in every unused slot and for the
-    trailing zeros, and one ``bytes.translate`` drops the NULs.  A value
-    the kernel cannot certify is printed by ``%.17g`` itself: zero,
-    non-finite, |x| outside [1e-280, 1e280], or a fraction of
-    |x| 10^(16-k) within 2^-30 of one half (a possible tie).
+    trailing zeros, and one ``bytes.translate`` drops the NULs; ±0 is
+    laid out as d = 0, k = 0.  A value the kernel cannot certify is
+    printed by ``%.17g`` itself: non-finite, |x| outside [1e-280, 1e280]
+    but not zero, or a fraction of |x| 10^(16-k) within 2^-30 of one
+    half (a possible tie).
     """
     x = np.asarray(values, dtype=np.float64).ravel()
     n = x.size
     if n == 0:
         return ""
     a = np.abs(x)
-    sure = (a >= 1e-280) & (a <= 1e280)  # also False for NaN
-    a[~sure] = 1.0
+    zero = a == 0.0
+    sure = zero | ((a >= 1e-280) & (a <= 1e280))  # False for NaN
+    a[~sure | zero] = 1.0
     # the float log10 may be one off next to a power of ten
     guess = np.floor(np.log10(a)).astype(np.intp) - _K_MIN
     i = guess + (a >= _THRESH[guess + 1])
@@ -133,6 +135,7 @@ def format_row(values):
     d = p.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
     carry = d == 10 ** 17
     d[carry] = 10 ** 16
+    d[zero] = 0
     k = (i + _K_MIN).astype(np.int16) + carry  # exponent of the result
 
     # digit j is q_j - 10 q_{j-1} for the prefixes q_j = d // 10^(16-j),
@@ -151,7 +154,7 @@ def format_row(values):
     shown = np.maximum(last, point)
 
     out = np.zeros((_WIDTH, n), np.uint8)
-    out[0] = (x < 0) * np.uint8(ord("-"))
+    out[0] = np.signbit(x) * np.uint8(ord("-"))
     out[1] = small * np.uint8(ord("0"))
     out[2] = small * np.uint8(ord("."))
     for j in range(3):

@@ -11,6 +11,7 @@ import dataclasses
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -122,8 +123,6 @@ def parse_config(path):
             typ = fields[key]
             try:
                 if typ is bool:
-                    if text.lower() not in _BOOL_WORDS:
-                        raise ValueError(text)
                     val = _BOOL_WORDS[text.lower()]
                 elif typ is int:
                     val = int(text)
@@ -131,7 +130,7 @@ def parse_config(path):
                     val = float(text)
                 else:
                     val = text
-            except ValueError:
+            except (KeyError, ValueError):
                 raise ParseError("bad value %r for key %r" % (text, key),
                                  line=lineno) from None
             if key in _RANGES:
@@ -238,11 +237,6 @@ def build_problem(cfg, ops):
     return stepper.problem_data(ops, phi0, pair, f=f, g=g)
 
 
-def _write_summary(path, lines):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def execute_run(cfg, out_dir=None, echo=print):
     """Validate, run and write outputs; returns (exit_code, trajectory)."""
     try:
@@ -274,8 +268,8 @@ def _admit(cfg, datas, params, ops, echo):
             echo(lines[-1])
         if not report.ok:
             for v in report.violations:
-                echo("validation: %s" % v)
-            lines.extend("validation: %s" % v for v in report.violations)
+                lines.append("validation: %s" % v)
+                echo(lines[-1])
             return False, lines
     guard = stepper.step_guard(params, datas[0].pair)
     if not guard.ok:
@@ -291,62 +285,67 @@ def _admit(cfg, datas, params, ops, echo):
     return True, lines
 
 
-def execute_on(cfg, ops, out, echo=print):
-    """:func:`execute_run` on operators already assembled from ``cfg``."""
+def execute_on(cfg, ops, out, echo=print, hooks=()):
+    """:func:`execute_run` on operators already assembled from ``cfg``,
+    with ``hooks`` run after the run's own.  ``summary.txt`` is written on
+    every ending, and its last lines name it; an exception other than an
+    interrupt adds ``stopped at step k: <cause>`` and goes on."""
     os.makedirs(out, exist_ok=True)
     params = build_params(cfg)
     data = build_problem(cfg, ops)
-    ok, lines = _admit(cfg, [data], params, ops, echo)
     summary = ["config potential=%s mesh=%dx%d h=%.17g t_final=%.17g"
                % (cfg.potential, cfg.mesh_rings, cfg.mesh_sectors,
-                  cfg.h, cfg.t_final)] + lines
-    if not ok:
-        _write_summary(os.path.join(out, "summary.txt"), summary)
-        return 2, None
-
-    records = []
-    hook = diagnostics.record_hook(records, data.pair, params, ops,
-                                   stride=cfg.stride)
+                  cfg.h, cfg.t_final)]
     reached = [0]  # the step of the last state the run reached
 
     def note(state, report):
         reached[0] = state.n
 
     try:
-        # the checkpoint text is formatted by a writer process while the
-        # run goes on; the stream's exit waits for it
-        with checkpoint.Stream(os.path.join(out, "checkpoints.txt"),
-                               cfg.stride) as stream:
+        ok, lines = _admit(cfg, [data], params, ops, echo)
+        summary += lines
+        if not ok:
+            return 2, None
+        # run.csv gets each row as it is made; the checkpoint text is
+        # formatted by a writer process while the run goes on, and the
+        # stream's exit waits for it
+        with open(os.path.join(out, "run.csv"), "w",
+                  encoding="utf-8") as fh, \
+                checkpoint.Stream(os.path.join(out, "checkpoints.txt"),
+                                  cfg.stride) as stream:
+            rows = diagnostics.csv_hook(fh, data.pair, params, ops,
+                                        stride=cfg.stride)
             traj = stepper.run(data, params, ops,
-                               hooks=(stream, hook, note))
+                               hooks=(stream, rows, note) + tuple(hooks))
+        if not traj.ok:
+            summary.append("solver failure at step %d: %s"
+                           % (traj.failed_step, traj.failure))
+            echo(summary[-1])
+            return 3, traj
+        reports = traj.reports[1:]
+        summary.append("steps=%d newton_iters_total=%d refactors_total=%d "
+                       "linsolves_total=%d"
+                       % (len(reports), sum(r.newton_iters for r in reports),
+                          sum(r.refactors for r in reports),
+                          sum(r.linsolves for r in reports)))
+        # the step from which the Newton matrix is the exact Jacobian
+        summary.append("fallbacks_total=%d exact_lu_from_step=%s"
+                       % (sum(r.fallbacks for r in reports),
+                          next((n for n, r in enumerate(reports, 1)
+                                if r.exact_lu), "none")))
+        summary.append("outside_theory=%s" % traj.outside_theory)
+        return 0, traj
     except KeyboardInterrupt:
-        # the rows and the blocks made so far survive the interrupt
-        diagnostics.write_csv(records, os.path.join(out, "run.csv"))
         summary.append("interrupted at step %d" % reached[0])
-        _write_summary(os.path.join(out, "summary.txt"), summary)
         raise
-    diagnostics.write_csv(records, os.path.join(out, "run.csv"))
-    if not traj.ok:
-        msg = ("solver failure at step %d: %s"
-               % (traj.failed_step, traj.failure))
-        echo(msg)
-        summary.append(msg)
-        _write_summary(os.path.join(out, "summary.txt"), summary)
-        return 3, traj
-    reports = traj.reports[1:]
-    summary.append("steps=%d newton_iters_total=%d refactors_total=%d "
-                   "linsolves_total=%d"
-                   % (len(reports), sum(r.newton_iters for r in reports),
-                      sum(r.refactors for r in reports),
-                      sum(r.linsolves for r in reports)))
-    # the step from which the Newton matrix is the exact Jacobian
-    summary.append("fallbacks_total=%d exact_lu_from_step=%s"
-                   % (sum(r.fallbacks for r in reports),
-                      next((n for n, r in enumerate(reports, 1)
-                            if r.exact_lu), "none")))
-    summary.append("outside_theory=%s" % traj.outside_theory)
-    _write_summary(os.path.join(out, "summary.txt"), summary)
-    return 0, traj
+    except BaseException as exc:
+        summary.append("stopped at step %d: %s: %s"
+                       % (reached[0], type(exc).__name__, exc))
+        raise
+    finally:
+        with open(os.path.join(out, "summary.txt"), "w",
+                  encoding="utf-8") as fh:
+            fh.write("\n".join(summary) + "\n")
 
 
 def cmd_run(cfg, echo=print):
@@ -385,20 +384,32 @@ def cmd_sweep(cfg, axis, ladder, workers=1, echo=print):
     # members and the post-processing share one set of operators
     ops = diskfem.assemble(build_mesh(cfg))
     out_root = cfg.out_dir
-    os.makedirs(out_root, exist_ok=True)
     jobs = [(m, os.path.join(out_root, "member_%02d" % i))
             for i, m in enumerate(members)]
 
+    stop = threading.Event()
+
+    def halt(state, report):
+        if stop.is_set():
+            raise KeyboardInterrupt
+
     def run_member(job):
         member, out = job
-        return execute_on(member, ops, out, echo=lambda *_: None)
+        return execute_on(member, ops, out, echo=lambda *_: None,
+                          hooks=(halt,))
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_member, jobs))
-    else:
-        results = [run_member(job) for job in jobs]
+    from concurrent.futures import ThreadPoolExecutor
+    # members run on pool threads for any worker count; Ctrl-C reaches
+    # this thread, which then stops the running members at their next
+    # step and cancels the others, as any failure does
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(run_member, job) for job in jobs]
+        try:
+            results = [f.result() for f in futures]
+        except BaseException:
+            stop.set()
+            pool.shutdown(cancel_futures=True)
+            raise
     # exit code 0 is exactly a finished run with every step converged
     trajs = [traj if code == 0 else None for code, traj in results]
 
@@ -508,12 +519,9 @@ def _selftest_graphs():
 
 def _selftest_diskfem(mesh_file=None):
     try:
-        if mesh_file:
-            mesh = diskfem.load_mesh(mesh_file)
-            diskfem.validate_mesh(mesh)
-        else:
-            mesh = diskfem.gen_disk_mesh(8, 24)
-            diskfem.validate_mesh(mesh)
+        mesh = (diskfem.load_mesh(mesh_file) if mesh_file
+                else diskfem.gen_disk_mesh(8, 24))
+        diskfem.validate_mesh(mesh)
     except ChbsError as exc:
         return False, "mesh: %s" % exc
     ops = diskfem.assemble(mesh)
@@ -650,12 +658,6 @@ def cmd_mesh_info(cfg, echo=print):
     return 0
 
 
-def _load_config(path):
-    if path is None:
-        return RunConfig()
-    return parse_config(path)
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="chbs",
@@ -665,7 +667,7 @@ def main(argv=None):
 
     p_run = sub.add_parser("run", help="single validated run")
     p_run.add_argument("--config", default=None)
-    p_run.add_argument("--out", default=None)
+    p_run.add_argument("--out", dest="out_dir")
     p_run.add_argument("--strict-guard", action="store_true")
 
     p_sweep = sub.add_parser("sweep", help="ladder sweep along one axis")
@@ -675,7 +677,7 @@ def main(argv=None):
     p_sweep.add_argument("--ladder", required=True,
                          help="comma-separated decreasing values")
     p_sweep.add_argument("--workers", type=int, default=1)
-    p_sweep.add_argument("--out", default=None)
+    p_sweep.add_argument("--out", dest="out_dir")
 
     p_cd = sub.add_parser("contdep", help="paired-run stability test")
     p_cd.add_argument("--config", action="append", required=True,
@@ -690,17 +692,15 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     try:
+        if args.command in ("run", "sweep", "mesh-info"):
+            cfg = (RunConfig() if args.config is None
+                   else parse_config(args.config))
+            # the options given override the config file's fields
+            cfg = replace(cfg, **{k: v for k, v in vars(args).items()
+                                  if v and k in cfg.__dict__})
         if args.command == "run":
-            cfg = _load_config(args.config)
-            if args.out:
-                cfg = replace(cfg, out_dir=args.out)
-            if args.strict_guard:
-                cfg = replace(cfg, strict_guard=True)
             return cmd_run(cfg)
         if args.command == "sweep":
-            cfg = _load_config(args.config)
-            if args.out:
-                cfg = replace(cfg, out_dir=args.out)
             try:
                 ladder = [float(x) for x in args.ladder.split(",")
                           if x.strip()]
@@ -716,9 +716,6 @@ def main(argv=None):
         if args.command == "selftest":
             return cmd_selftest(mesh_file=args.mesh_file)
         if args.command == "mesh-info":
-            cfg = _load_config(args.config)
-            if args.mesh_file:
-                cfg = replace(cfg, mesh_file=args.mesh_file)
             return cmd_mesh_info(cfg)
     except ParseError as exc:
         print("config error: %s" % exc, file=sys.stderr)

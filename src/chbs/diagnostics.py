@@ -6,15 +6,12 @@ nodal interpolant); gradient terms use the consistent stiffness.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from . import diskfem, graphs, stepper
 from .errors import GridMismatch, MeanMismatch
-
-CSV_HEADER = ("n,t,energy_true,energy_eps,lyapunov,mass_bulk_aug,"
-              "mass_bdry_aug,phi_h1,psi_h1,newton_iters")
 
 
 def energy(state, pair, ops, mode="true", eps=None):
@@ -91,25 +88,25 @@ def make_record(state, report, pair, params, ops):
     )
 
 
-def record_hook(records, pair, params, ops, stride=1):
-    """Hook for :func:`chbs.stepper.run` appending rows to ``records``."""
+# the run.csv columns are DiagRecord's fields, in order
+CSV_HEADER = ",".join(f.name for f in fields(DiagRecord))
+_CSV_ROW = ",".join("%d" if f.type is int else "%.17g"
+                    for f in fields(DiagRecord)) + "\n"
+
+
+def csv_hook(fh, pair, params, ops, stride=1):
+    """Hook for :func:`chbs.stepper.run` writing run.csv to the text file
+    ``fh``: the header at once, then every ``stride``-th state's row with
+    17 significant digits, flushed as soon as it is made."""
+    fh.write(CSV_HEADER + "\n")
 
     def hook(state, report):
         if state.n % stride == 0:
-            records.append(make_record(state, report, pair, params, ops))
+            record = make_record(state, report, pair, params, ops)
+            fh.write(_CSV_ROW % astuple(record))
+            fh.flush()
 
     return hook
-
-
-def write_csv(records, path):
-    """Write diagnostics rows with 17 significant digits."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for r in records:
-            fh.write("%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d\n"
-                     % (r.n, r.t, r.energy_true, r.energy_eps, r.lyapunov,
-                        r.mass_bulk_aug, r.mass_bdry_aug, r.phi_h1,
-                        r.psi_h1, r.newton_iters))
 
 
 @dataclass

@@ -104,6 +104,11 @@ class TestFormatRowIsPrintf:
         assert_printf(first, row)
         assert_printf(second, row[::-1])
 
+    def test_signed_zeros(self):
+        values = np.array([0.0, -0.0, 1.5, -0.0, -2.0, 0.0])
+        assert checkpoint.format_row(values) == printf(values) \
+            == "0 -0 1.5 -0 -2 0"
+
     def test_random_bit_patterns(self):
         bits = np.random.default_rng(15).integers(
             0, 2 ** 64, 10 ** 5, dtype=np.uint64, endpoint=False)

@@ -1,6 +1,10 @@
 import filecmp
 import math
+import os
+import signal
 import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -208,6 +212,29 @@ class TestCmdRun:
         assert [s.n for s in stepper.load_states(out / "checkpoints.txt")] \
             == [0, 1, 2]
 
+    def test_crash_keeps_rows_and_names_its_cause(self, tmp_path,
+                                                  monkeypatch):
+        cfg = cli.parse_config(write_config(tmp_path,
+                                            TINY + "ic = random(0.3, 7)\n"))
+        full = tmp_path / "full"
+        assert cli.execute_run(cfg, out_dir=str(full),
+                               echo=lambda *a: None)[0] == 0
+        solve = stepper.solve_step
+
+        def crashing(state, *args, **kwargs):
+            if state.n == 2:  # a crash while solving for step 3
+                raise RuntimeError("no more memory")
+            return solve(state, *args, **kwargs)
+
+        monkeypatch.setattr(stepper, "solve_step", crashing)
+        out = tmp_path / "out"
+        with pytest.raises(RuntimeError, match="no more memory"):
+            cli.execute_run(cfg, out_dir=str(out), echo=lambda *a: None)
+        assert (out / "run.csv").read_text().splitlines() \
+            == (full / "run.csv").read_text().splitlines()[:4]
+        assert (out / "summary.txt").read_text().splitlines()[-1] \
+            == "stopped at step 2: RuntimeError: no more memory"
+
     def test_streamed_checkpoints_match_save_trajectory(self, tmp_path):
         body = TINY + "ic = random(0.3, 7)\nstride = 2\n"
         cfg = cli.parse_config(write_config(tmp_path, body))
@@ -238,6 +265,15 @@ class TestCmdRun:
         assert "file error" in err and "checkpoints.txt" in err
         assert len(writers) == 1
         assert writers[0].returncode not in (None, 0)  # reaped, failed
+        # every step ran, so the table is complete and the summary names
+        # the writer's failure
+        rows = (out / "run.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] \
+            == ["0", "1", "2", "3", "4"]
+        last = (out / "summary.txt").read_text().splitlines()[-1]
+        assert last.startswith("stopped at step 4: OSError: checkpoint "
+                               "writer for ")
+        assert "checkpoints.txt" in last
 
     def test_summary_totals(self, tmp_path):
         body = TINY + "ic = random(0.3, 5)\n"
@@ -330,6 +366,46 @@ class TestCmdSweep:
         assert code == 1
         table = (tmp_path / "sweep" / "table.csv").read_text()
         assert table.count(",3,") >= 3  # member status column
+
+    def test_ctrl_c_stops_the_running_members(self, tmp_path):
+        # long enough that no member ends before the interrupt
+        body = ("mesh_rings = 8\nmesh_sectors = 32\npotential = log\n"
+                "t_final = 3\nic = random(0.1, 4)\n")
+        path = write_config(tmp_path, body)
+        out = tmp_path / "sweep"
+        # the handler Python installs unless SIGINT is inherited as ignored
+        code = ("import signal, sys; "
+                "signal.signal(signal.SIGINT, signal.default_int_handler); "
+                "from chbs.cli import main; sys.exit(main(sys.argv[1:]))")
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, "sweep", "--config", path,
+             "--axis", "eps", "--ladder", "0.4,0.2,0.1", "--workers", "2",
+             "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=os.path.dirname(
+                os.path.dirname(cli.__file__))),
+            stderr=subprocess.PIPE, text=True)
+        tables = [out / ("member_%02d" % i) / "run.csv" for i in (0, 1)]
+        try:
+            while not all(t.exists() and t.read_text().count("\n") > 3
+                          for t in tables):
+                assert proc.poll() is None, proc.stderr.read()
+                time.sleep(0.01)
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=60) == 130
+        finally:
+            proc.kill()
+            proc.wait()
+        assert "interrupted" in proc.stderr.read()
+        for table in tables:
+            last = (table.parent / "summary.txt").read_text().splitlines()[-1]
+            assert last.startswith("interrupted at step ")
+            k = int(last.rsplit(" ", 1)[1])
+            assert k < 3000
+            rows = table.read_text().splitlines()[1:]
+            assert [int(row.split(",")[0]) for row in rows] \
+                == list(range(k + 1))
+        assert not (out / "member_02").exists()
+        assert not (out / "table.csv").exists()
 
 
 class TestCmdContdep:

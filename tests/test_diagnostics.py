@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -303,14 +304,24 @@ class TestObstacleViolation:
         assert rep.max == pytest.approx(0.25)
 
 
+def stream_csv(path, traj, data, params, ops, stride=1):
+    """run.csv of ``traj`` as :func:`diagnostics.csv_hook` writes it; the
+    callback sees the file's lines after each state."""
+    with open(path, "w", encoding="utf-8") as fh:
+        hook = diagnostics.csv_hook(fh, data.pair, params, ops,
+                                    stride=stride)
+        for state, report in zip(traj.states, traj.reports):
+            hook(state, report)
+            yield path.read_text().splitlines()
+
+
 class TestCsv:
     def test_schema_and_roundtrip(self, tiny_ops, tmp_path):
         data, params, traj = run_tiny(tiny_ops, steps=3)
         records = [diagnostics.make_record(s, r, data.pair, params, tiny_ops)
                    for s, r in zip(traj.states, traj.reports)]
         path = tmp_path / "run.csv"
-        diagnostics.write_csv(records, path)
-        lines = path.read_text().strip().split("\n")
+        lines = list(stream_csv(path, traj, data, params, tiny_ops))[-1]
         assert lines[0] == diagnostics.CSV_HEADER
         assert len(lines) == 1 + len(records)
         first = lines[1].split(",")
@@ -318,6 +329,22 @@ class TestCsv:
         assert float(first[1]) == 0.0
         # 17 significant digits survive the text roundtrip
         assert float(lines[2].split(",")[2]) == records[1].energy_true
+
+    def test_rows_stream_as_they_are_made(self, tiny_ops, tmp_path):
+        data, params, traj = run_tiny(tiny_ops, steps=4)
+        # the header and the row format follow DiagRecord's fields
+        want = [",".join(diagnostics.DiagRecord.__annotations__)]
+        for s, r in zip(traj.states[::2], traj.reports[::2]):
+            rec = diagnostics.make_record(s, r, data.pair, params, tiny_ops)
+            cells = dataclasses.astuple(rec)
+            want.append(",".join(["%d" % cells[0]]
+                                 + ["%.17g" % v for v in cells[1:-1]]
+                                 + ["%d" % cells[-1]]))
+        seen = stream_csv(tmp_path / "run.csv", traj, data, params,
+                          tiny_ops, stride=2)
+        # each row is on disk as soon as it is made
+        for k, lines in enumerate(seen):
+            assert lines == want[:2 + k // 2]
 
     def test_augmented_masses_constant_in_csv(self, tiny_ops, tmp_path):
         data, params, traj = run_tiny(tiny_ops, steps=6, amp=0.3)
