@@ -333,6 +333,8 @@ def execute_on(cfg, ops, out, echo=print, hooks=()):
                        % (sum(r.fallbacks for r in reports),
                           next((n for n, r in enumerate(reports, 1)
                                 if r.exact_lu), "none")))
+        summary.append("backtracks_total=%d"
+                       % sum(r.backtracks for r in reports))
         summary.append("outside_theory=%s" % traj.outside_theory)
         return 0, traj
     except KeyboardInterrupt:

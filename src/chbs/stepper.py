@@ -117,8 +117,10 @@ class StepReport:
     or exact, and ``fallbacks`` the pivoted ones among them that replaced
     a symmetric LU (see ``_StepWorkspace``).  ``linsolves`` counts every
     Newton solve, a rejected symmetric one included; the step makes no
-    other linear solve.  ``exact_lu`` says whether the step ended on the
-    exact LU of the Jacobian rather than on its rotation average.
+    other linear solve.  ``backtracks`` counts the halvings of the line
+    search.  ``exact_lu`` says whether the step ended on the exact LU of
+    the Jacobian rather than on a rotation average; the Fourier path
+    never resumes, so it stays true for the rest of the run.
     """
 
     newton_iters: int = 0
@@ -126,6 +128,7 @@ class StepReport:
     linsolves: int = 0
     refactors: int = 0
     fallbacks: int = 0
+    backtracks: int = 0
     exact_lu: bool = False
 
 
@@ -435,27 +438,40 @@ class _StepWorkspace:
     One rule, read from the iteration itself, judges every factor (the
     simplified-Newton rule of Hairer & Wanner, Solving ODEs II, IV.8, and
     Deuflhard 2004): the factor goes stale (``stale``) after an accepted
-    update whose contraction theta = rms_new / rms_old exceeds
-    ``THETA_MAX``, and when the line search cuts below alpha = 1/4 a
-    direction that did not come from a fresh exact LU (a non-finite
-    direction always is cut).  The next direction then builds a new factor
-    at the current iterate, and as a stale factor ends the Fourier path,
-    that factor and every later one is the exact LU.  On the regular and
-    log desk runs the average contracts at theta of about 1e-5 and one
-    Fourier factor serves the whole run; the perturbed active-set obstacle
-    data of the benchmark break the symmetry and switch within the first
-    step.  While every node of an obstacle run stays strictly inside
-    (-1, 1) the Yosida derivative is 0, the Jacobian is constant and its
-    first factor serves the whole run.
+    update whose contraction theta = rms_new / rms_old exceeds the
+    threshold of its kind, and when the line search cuts below alpha =
+    1/4 a direction that did not come from a fresh exact LU (a non-finite
+    direction always is cut).  The next direction builds a factor of the
+    same kind at the current iterate, except that a Fourier factor cut by
+    the line search, or stale on the first update it served, ends the
+    Fourier path: a fresh rotation average that does not contract cannot
+    be helped by another average, and every later factor is the exact LU.
+    How far a factor may drift depends on what a new one costs: on the
+    40x160 mesh a Fourier solve costs about a quarter of an exact one and
+    a Fourier factorization about a sixth, so the threshold is
+    ``THETA_MAX_FOURIER`` = 0.15 for a Fourier factor and ``THETA_MAX`` =
+    0.05 for an exact LU.  On the regular and log desk runs the average
+    contracts at theta of about 1e-5 and one Fourier factor serves the
+    whole run.  The active-set obstacle data of the benchmark start with
+    no node beyond +-1, so their first factor is the Fourier factor of
+    R L, exact as L is rotation invariant.  The frozen-graph iteration on
+    it contracts at theta of 0.06 in the median and 0.12 at most (ic seed
+    8), so that one factor serves 100 steps, which the threshold of an
+    exact LU would not allow.  While every node of an obstacle run
+    stays strictly inside (-1, 1) the Yosida derivative is 0, the
+    Jacobian is constant and its first factor serves the whole run.
 
     Neither simpler rule works.  A fixed age refactorizes every few
     directions whether or not the old factor still contracts, and most of
     the run goes into factorizations that change nothing.  Never
     refactorizing lets a moving active set (obstacle graph, eps = 0.05)
-    slow the iteration to a crawl: one LU for 100 steps costs 641 Newton
-    iterations where the contraction rule needs about 300.  Rebuilding a
-    stale average as a new average lets some active-set obstacle runs
-    build a hundred of them.  The decision reads residuals only, never
+    slow the iteration to a crawl: one exact LU for 100 steps costs 641
+    Newton iterations where the contraction rule needs about 300.
+    Rebuilding every stale average as an average, first update or not,
+    rebuilds one at almost every step where no average contracts: the
+    active-set obstacle data at eps = 0.01 (eps tau = h, ic seed 8, 100
+    steps) built 380 Fourier factors and tripled the wall time, against
+    13 factors under this rule.  The decision reads residuals only, never
     timings, so runs stay deterministic; correctness rests on the exact
     residual, not on the factor being current.
 
@@ -476,9 +492,11 @@ class _StepWorkspace:
     """
 
     # On the active-set obstacle case 0.01-0.05 give about the same
-    # factorization and iteration counts; at 0.1 an LU that contracts
-    # slowly is kept and some runs need 680 iterations instead of 300.
+    # counts for an exact LU; at 0.1 one that contracts slowly is kept
+    # and some runs need 680 iterations instead of 300.  For a Fourier
+    # factor 0.15 and 0.3 give the same counts.
     THETA_MAX = 0.05
+    THETA_MAX_FOURIER = 0.15
     # relative backward error ||R J dx + R r|| / ||R r|| a symmetric LU's
     # first direction must meet; the pivoted LU meets it by far
     BACKWARD_TOL = 1e-8
@@ -511,6 +529,7 @@ class _StepWorkspace:
         # (rings, sectors) while the run uses Fourier factors, else None
         self.rings = _ring_layout(mesh, self.L)
         self._lu = None
+        self._fresh = True  # the factor has served no update yet
 
     def load(self, state, fn, gn):
         """b_n: the old level ``state`` and the averaged sources."""
@@ -560,6 +579,7 @@ class _StepWorkspace:
         rhs = -(self.R @ r)
         final = False
         if self._lu is None:
+            self._fresh = True
             report.refactors += 1
             if self.rings is not None:
                 self._lu = _FourierFactor(
@@ -584,12 +604,21 @@ class _StepWorkspace:
         report.linsolves += 1
         return self._lu.solve(rhs), final
 
-    def stale(self):
+    def accepted(self, rms_old, rms_new):
+        """Judge the factor by the contraction of one accepted update."""
+        first, self._fresh = self._fresh, False
+        theta_max = (self.THETA_MAX if self.rings is None
+                     else self.THETA_MAX_FOURIER)
+        # NaN-safe: a non-finite theta marks the factor stale
+        if not rms_new <= theta_max * rms_old:
+            self.stale(end_fourier=first)
+
+    def stale(self, end_fourier=True):
         """Drop the factor, which also frees it before the next one is
-        built, and end the Fourier path: every later factor is the exact
-        LU."""
+        built; with ``end_fourier`` every later factor is the exact LU."""
         self._lu = None
-        self.rings = None
+        if end_fourier:
+            self.rings = None
 
 
 def solve_step(state, data, params, ops, fn=None, gn=None, work=None,
@@ -641,15 +670,14 @@ def solve_step(state, data, params, ops, fn=None, gn=None, work=None,
                 # non-finite direction, say): reject it like a worse one
                 r_c, rms_c = None, math.inf
             if rms_c < rms or rms_c <= tol_inner:
-                # NaN-safe: a non-finite theta marks the factor stale
-                if not rms_c <= work.THETA_MAX * rms:
-                    work.stale()
+                work.accepted(rms, rms_c)
                 x, r, rms = x_c, r_c, rms_c
                 break
             alpha *= 0.5
+            report.backtracks += 1
             if alpha < 0.25 and not final:
                 # an old or averaged factor produced a poor direction;
-                # rebuild and retry
+                # rebuild it as an exact LU and retry
                 work.stale()
                 dx, final = work.direction(x[:nb], r, report)
                 alpha = 1.0

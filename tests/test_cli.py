@@ -290,6 +290,20 @@ class TestCmdRun:
                    sum(r.linsolves for r in reports)))
         assert want in (out / "summary.txt").read_text().splitlines()
 
+    def test_summary_counts_backtracks_after_the_totals(self, tmp_path):
+        body = TINY + "ic = random(0.3, 5)\n"
+        cfg = cli.parse_config(write_config(tmp_path, body))
+        out = tmp_path / "out"
+        code, traj = cli.execute_run(cfg, out_dir=str(out),
+                                     echo=lambda *a: None)
+        assert code == 0
+        lines = (out / "summary.txt").read_text().splitlines()
+        want = "backtracks_total=%d" % sum(r.backtracks
+                                           for r in traj.reports[1:])
+        assert lines.index(want) == 1 + next(
+            i for i, line in enumerate(lines)
+            if line.startswith("fallbacks_total="))
+
     def test_summary_names_fallbacks_and_newton_matrix(self, tmp_path):
         # the ring mesh keeps its Fourier factor; a renumbered copy of it
         # runs on the exact LU from the first step

@@ -22,6 +22,39 @@ def tiny_problem(ops, kind="regular", amp=0.1, seed=5, f=None, g=None,
     return data, params
 
 
+def pinned_obstacle_problem(ops, eps=0.05, t_final=2e-3, seed=2):
+    """Criterion-7 data: a profile pinned at the obstacle on both caps,
+    perturbed as in the benchmark, so the active set moves at once."""
+    pair = graphs.preset_pair("obstacle")
+    loop = ops.mesh.boundary_loop
+    x = ops.mesh.vertices[:, 0]
+    phi_dag = np.where(x >= 0.2, 1.0, np.where(
+        x <= -0.2, -1.0, np.sin(0.5 * np.pi * x / 0.2)))
+    xi = np.where(x >= 0.2, 1.0, np.where(x <= -0.2, -1.0, 0.0))
+    f = xi + pair.bulk_pi(phi_dag) \
+        + ops.mass_bulk_solver().solve(ops.K_bulk @ phi_dag)
+    g = xi[loop] + pair.boundary_pi(phi_dag[loop]) \
+        + splu(ops.M_bdry.tocsc()).solve(ops.K_bdry @ phi_dag[loop])
+    noise = 2.0 * cli.xorshift64_uniform(seed, ops.mesh.n_bulk) - 1.0
+    phi0 = np.clip(phi_dag + 0.01 * noise, -1.0, 1.0)
+    params = stepper.SchemeParams(h=1e-3, t_final=t_final, eps=eps)
+    return stepper.problem_data(ops, phi0, pair, f=f, g=g), params
+
+
+def recording_splu(monkeypatch):
+    """Patch ``stepper.splu`` to note the dtype of every matrix it
+    factors; returns the list of dtypes."""
+    real = stepper.splu
+    kinds = []
+
+    def record(A, **kwargs):
+        kinds.append(A.dtype)
+        return real(A, **kwargs)
+
+    monkeypatch.setattr(stepper, "splu", record)
+    return kinds
+
+
 class TestGuard:
     def test_formula(self):
         pair = graphs.preset_pair("regular")  # both slopes have modulus 1
@@ -579,40 +612,59 @@ class TestFourierFactor:
         gap = abs(work.jacobian_matrix(phi, average=True) - J).max()
         assert gap <= 1e-12 * graph_terms
 
-    def test_active_obstacle_switches_to_exact_lu_in_step_one(
-            self, desk_ops, monkeypatch):
-        # criterion-7 data: a profile pinned at the obstacle on both caps,
-        # perturbed as in the benchmark, so the active set moves at once
-        ops = desk_ops
-        pair = graphs.preset_pair("obstacle")
-        loop = ops.mesh.boundary_loop
-        x = ops.mesh.vertices[:, 0]
-        phi_dag = np.where(x >= 0.2, 1.0, np.where(
-            x <= -0.2, -1.0, np.sin(0.5 * np.pi * x / 0.2)))
-        xi = np.where(x >= 0.2, 1.0, np.where(x <= -0.2, -1.0, 0.0))
-        f = xi + pair.bulk_pi(phi_dag) \
-            + ops.mass_bulk_solver().solve(ops.K_bulk @ phi_dag)
-        g = xi[loop] + pair.boundary_pi(phi_dag[loop]) \
-            + splu(ops.M_bdry.tocsc()).solve(ops.K_bdry @ phi_dag[loop])
-        noise = 2.0 * cli.xorshift64_uniform(2, ops.mesh.n_bulk) - 1.0
-        phi0 = np.clip(phi_dag + 0.01 * noise, -1.0, 1.0)
-        data = stepper.problem_data(ops, phi0, pair, f=f, g=g)
-        params = stepper.SchemeParams(h=1e-3, t_final=2e-3, eps=0.05)
-        real = stepper.splu
-        kinds = []
+    def test_active_obstacle_keeps_its_fourier_factor(self, desk_ops,
+                                                      monkeypatch):
+        # no node is active at phi0, so the first factor is the Fourier
+        # factor of R L, exact as L is rotation invariant; the frozen-graph
+        # iteration on it contracts fast enough to keep it
+        data, params = pinned_obstacle_problem(desk_ops)
+        kinds = recording_splu(monkeypatch)
+        traj = stepper.run(data, params, desk_ops)
+        assert traj.ok
+        assert kinds == [complex]
+        assert not any(r.exact_lu for r in traj.reports[1:])
+        assert len(kinds) == sum(r.refactors for r in traj.reports[1:])
 
-        def recording_splu(A, **kwargs):
-            kinds.append(A.dtype)
-            return real(A, **kwargs)
-
-        monkeypatch.setattr(stepper, "splu", recording_splu)
+    def test_average_failing_on_its_first_update_ends_the_fourier_path(
+            self, monkeypatch):
+        # eps tau = h: at eps = 0.01 the average of phi0 (no node active)
+        # serves its first update only, and the average rebuilt on the
+        # active set goes stale on its first update, so every later factor
+        # is the exact LU; rebuilding averages would cost about ten
+        # factors per step
+        ops = diskfem.assemble(diskfem.gen_disk_mesh(4, 16))
+        data, params = pinned_obstacle_problem(ops, eps=0.01, t_final=4e-2,
+                                               seed=8)
+        kinds = recording_splu(monkeypatch)
         traj = stepper.run(data, params, ops)
         assert traj.ok
-        assert [r.exact_lu for r in traj.reports[1:]] == [True, True]
-        # one Fourier factor, then exact LUs only
-        assert kinds[0] == complex and len(kinds) > 1
-        assert all(kind == float for kind in kinds[1:]), kinds
+        assert kinds[:2] == [complex, complex] and len(kinds) > 2
+        assert all(kind == float for kind in kinds[2:]), kinds
+        assert all(r.exact_lu for r in traj.reports[1:])
         assert len(kinds) == sum(r.refactors for r in traj.reports[1:])
+        assert len(kinds) <= params.n_steps // 4
+
+    def test_active_set_run_keeps_its_average_and_matches_oracle(
+            self, tiny_ops):
+        # the sources of test_matches_oracle_with_active_set push nodes
+        # beyond +-1, so the average is not the Jacobian; each state is
+        # checked against the dense fixed-point oracle
+        x = tiny_ops.mesh.vertices[:, 0]
+        fn, gn = 1000.0 * x, 1000.0 * x[tiny_ops.mesh.boundary_loop]
+        data, params = tiny_problem(tiny_ops, "obstacle", eps=0.1, f=fn,
+                                    g=gn, t_final=6e-3)
+        traj = stepper.run(data, params, tiny_ops)
+        assert traj.ok
+        reports = traj.reports[1:]
+        assert not any(r.exact_lu for r in reports)
+        assert sum(r.refactors for r in reports) == 1
+        assert (np.abs(traj.states[-1].phi) > 1.0).any()
+        for prev, new in zip(traj.states, traj.states[1:]):
+            phi_o, mu_o, w_o = reference.fixed_point_step(
+                prev, data, params, tiny_ops, fn, gn)
+            assert np.abs(new.phi - phi_o).max() < 1e-8
+            assert np.abs(new.mu - mu_o).max() < 1e-8
+            assert np.abs(new.w - w_o).max() < 1e-8
 
     def test_cut_fourier_direction_switches_to_exact_lu(self, tiny_ops,
                                                         monkeypatch):
@@ -628,6 +680,18 @@ class TestFourierFactor:
             # the Fourier factor, then the exact LU that replaced it
             assert traj.reports[1].refactors == 2
 
+    def test_backtracks_count_line_search_halvings(self, tiny_ops,
+                                                  monkeypatch):
+        # a non-finite direction is halved to alpha = 1/8 before the
+        # exact LU replaces its factor; the exact directions are full steps
+        monkeypatch.setattr(stepper._FourierFactor, "solve",
+                            lambda self, v: np.full_like(v, np.nan))
+        data, params = tiny_problem(tiny_ops, amp=0.3)
+        traj = stepper.run(data, params, tiny_ops)
+        assert traj.ok
+        assert [r.backtracks for r in traj.reports[1:]] \
+            == [3] + [0] * (params.n_steps - 1)
+
     def test_ring_numbered_mesh_of_another_shape_is_solved_exactly(self):
         mesh = diskfem.gen_disk_mesh(3, 8)
         mesh.vertices[2] *= 1.1  # one vertex of the inner ring moves out
@@ -638,15 +702,26 @@ class TestFourierFactor:
         assert traj.ok
         assert all(r.exact_lu for r in traj.reports[1:])
 
-    @pytest.mark.parametrize("kind", ("regular", "log", "obstacle"))
+    @pytest.mark.parametrize("kind", ("regular", "log", "obstacle",
+                                      "active-obstacle"))
     def test_renumbered_mesh_runs_exact_lu_to_the_same_states(self, kind):
         mesh = diskfem.gen_disk_mesh(4, 16)
         copy, new = renumbered(mesh, seed=3)
         ops, ops_r = diskfem.assemble(mesh), diskfem.assemble(copy)
-        data, params = tiny_problem(ops, kind, amp=0.3, t_final=2e-2)
-        phi0 = np.empty_like(data.phi0)
-        phi0[new] = data.phi0
-        data_r = stepper.problem_data(ops_r, phi0, data.pair)
+        if kind == "active-obstacle":
+            data, params = pinned_obstacle_problem(ops, t_final=2e-2)
+        else:
+            data, params = tiny_problem(ops, kind, amp=0.3, t_final=2e-2)
+
+        def moved(v):
+            out = np.empty_like(v)
+            out[new] = v
+            return out
+
+        f_r = None if data.f is None else moved(data.f)
+        # boundary arrays follow the loop, which keeps its order
+        data_r = stepper.problem_data(ops_r, moved(data.phi0), data.pair,
+                                      f=f_r, g=data.g)
         traj = stepper.run(data, params, ops)
         traj_r = stepper.run(data_r, params, ops_r)
         assert traj.ok and traj_r.ok
