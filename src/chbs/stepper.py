@@ -522,7 +522,7 @@ class _StepWorkspace:
             [[Mb / h, Mb + Kb, None],
              [(tau / h + sb) * Mb + Kb
               + P.T @ ((sigma / h + sg) * Mg + Kg) @ P, -Mb, -(P.T @ Mg)],
-             [(Mg / h) @ P, None, Mg + Kg]], format="csc")
+             [(Mg / h) @ P, None, Mg + Kg]], format="csr")
         self.R = sp.bmat([[None, sp.eye(nb), None],
                           [-h * sp.eye(nb), None, None],
                           [None, None, -h * sp.eye(ng)]], format="csr")
