@@ -15,6 +15,7 @@ import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.sparse.linalg import splu
 
 from . import checkpoint, diagnostics, diskfem, graphs, reference, stepper
 from .errors import (ChbsError, GridMismatch, MeanMismatch, ParseError,
@@ -570,6 +571,29 @@ def _selftest_stepper_oracle():
     return True, "dense fixed-point agreement %.3e" % worst
 
 
+def _selftest_fourier_solve():
+    # the rotation-averaged Newton matrix at a random state, solved by the
+    # banded Fourier factor and judged by a sparse LU of the matrix itself
+    ops = diskfem.assemble(diskfem.gen_disk_mesh(4, 16))
+    params = stepper.SchemeParams(h=1e-3, t_final=1e-3, eps=0.1)
+    work = stepper._StepWorkspace(ops, graphs.preset_pair("obstacle"),
+                                  params)
+    if work.rings is None:
+        return False, "4x16 mesh not solved by Fourier modes"
+    rng = np.random.default_rng(7)
+    # nodes on both sides of +-1, where the graph derivatives jump
+    phi = rng.uniform(-1.3, 1.3, ops.mesh.n_bulk)
+    A = (work.R @ work.jacobian_matrix(phi, average=True)).tocsc()
+    v = rng.uniform(-1.0, 1.0, A.shape[0])
+    x = stepper._FourierFactor(A, *work.rings).solve(v)
+    want = splu(A).solve(v)
+    backward = np.linalg.norm(A @ x - v) / np.linalg.norm(v)
+    gap = np.linalg.norm(x - want) / np.linalg.norm(want)
+    # NaN-safe: a non-finite solution fails both comparisons
+    return (bool(backward <= 1e-12 and gap <= 1e-10),
+            "backward error %.3e, gap to splu %.3e" % (backward, gap))
+
+
 def _selftest_tool3():
     _, ops, _, params, data = _tiny_problem()
     traj = stepper.run(data, params, ops)
@@ -627,6 +651,7 @@ def cmd_selftest(mesh_file=None, echo=print):
         ("graphs", _selftest_graphs),
         ("diskfem", lambda: _selftest_diskfem(mesh_file)),
         ("stepper-oracle", _selftest_stepper_oracle),
+        ("fourier-solve", _selftest_fourier_solve),
         ("interpolant-identity", _selftest_tool3),
         ("mass-dissipation", _selftest_conservation),
         ("checkpoint-text", _selftest_checkpoint),

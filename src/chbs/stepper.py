@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse as sp
+from scipy.linalg.lapack import zgbtrf, zgbtrs
 from scipy.sparse.linalg import splu
 
 from . import checkpoint, diskfem, graphs
@@ -331,29 +332,39 @@ def _ring_layout(mesh, L):
 def _ring_unknowns(rings, sectors):
     """Indices of the ring unknowns of x = (phi, mu, w), one row per ring.
 
-    The rows are phi on rings 1..R, mu on rings 1..R and w on the
-    boundary; the center's phi and mu (indices 0 and N_bulk) are left out.
+    The rows interleave the two bulk fields ring by ring, phi_1, mu_1,
+    ..., phi_R, mu_R, and end with w on the boundary; the center's phi
+    and mu (indices 0 and N_bulk) are left out.
     """
     nb = 1 + rings * sectors
-    return np.concatenate([np.arange(1, nb), np.arange(nb + 1, 2 * nb),
-                           np.arange(2 * nb, 2 * nb + sectors)]
-                          ).reshape(2 * rings + 1, sectors)
+    phi = np.arange(1, nb).reshape(rings, 1, sectors)
+    bulk = np.concatenate([phi, phi + nb], axis=1).reshape(-1, sectors)
+    return np.vstack([bulk, np.arange(2 * nb, 2 * nb + sectors)])
 
 
 class _FourierFactor:
     """Direct solver for the rotation average of a ring-mesh matrix ``A``.
 
     On a ring mesh with R rings of S sectors the unknowns x = (phi, mu,
-    w) form 2R + 1 rings of S values plus the center's phi and mu.  A
+    w) form G = 2R + 1 rings of S values plus the center's phi and mu.  A
     matrix that commutes with the rotation by one sector couples two
     rings by a circulant, read here from the first row of each ring, so
     the orthonormal real FFT along the rings splits A x = v into S//2 + 1
-    independent complex mode blocks of 2R + 1 unknowns; the center's two
-    join the mode-0 block (Swarztrauber & Sweet, SIAM J. Numer. Anal. 10,
-    1973).  The blocks form one block-diagonal sparse matrix with one
-    pivoted LU, of which only ``solve`` is used.  Rows other than the
-    first of each ring are not read, so for a matrix that is not
-    rotation invariant this solves its circulant stencil, not A.
+    independent complex mode blocks of G unknowns; the center's two join
+    the mode-0 block (Swarztrauber & Sweet, SIAM J. Numer. Anal. 10,
+    1973).  Rows other than the first of each ring are not read, so for a
+    matrix that is not rotation invariant this solves its circulant
+    stencil, not A.
+
+    The factor orders the center's phi and mu first and then mode m's
+    ring unknowns at 2 + m G, in the order of ``_ring_unknowns``: phi and
+    mu interleaved ring by ring, w last.  A ring couples only to itself
+    and its neighbours, and the center only to the first ring, so the
+    whole block-diagonal matrix is one band, three wide on each side
+    (mu_k to phi_(k-1) below, phi_k to mu_(k+1) above).  The widths
+    ``kl`` and ``ku`` are read from the entries, and LAPACK's banded LU
+    with partial pivoting (``zgbtrf``, then ``zgbtrs`` per solve) factors
+    the band without building a sparse matrix.
     """
 
     def __init__(self, A, rings, sectors):
@@ -362,56 +373,60 @@ class _FourierFactor:
         self.center = center = np.array([0, 1 + rings * S])
         G = ring.shape[0]
         self.n_modes = n_modes = S // 2 + 1
-        # ring of every unknown (the center's two get G and G + 1) and
-        # its sector (0 at the center)
-        group = np.empty(A.shape[0], dtype=np.int64)
+        # place of every unknown in the mode-0 block (the center's two
+        # first) and its sector (0 at the center)
+        place = np.empty(A.shape[0], dtype=np.int64)
         sector = np.zeros(A.shape[0], dtype=np.int64)
-        group[ring] = np.arange(G)[:, None]
+        place[ring] = 2 + np.arange(G)[:, None]
         sector[ring] = np.arange(S)
-        group[center] = G + np.arange(2)
+        place[center] = np.arange(2)
         A = A.tocsr()
 
         rows = A[ring[:, 0]].tocoo()
-        a, b, j = rows.row, group[rows.col], sector[rows.col]
-        on_ring = b < G
+        a, b, j = 2 + rows.row, place[rows.col], sector[rows.col]
+        on_ring = b >= 2
         # ring to ring: one circulant stencil per coupled pair of rings
-        pairs, pair = np.unique(a[on_ring] * G + b[on_ring],
+        pairs, pair = np.unique(a[on_ring] * (G + 2) + b[on_ring],
                                 return_inverse=True)
         stencil = np.zeros((pairs.size, S))
         np.add.at(stencil, (pair, j[on_ring]), rows.data[on_ring])
         # mode m multiplies by sum_d c[d] exp(+2 pi i m d / S)
         lam = np.conj(np.fft.rfft(stencil, axis=1))
-        offset = G * np.arange(n_modes)
-        blk_rows = [(offset + (pairs // G)[:, None]).ravel()]
-        blk_cols = [(offset + (pairs % G)[:, None]).ravel()]
-        values = [lam.ravel()]
+        ring_a, ring_b = np.divmod(pairs, G + 2)
         # the center couples to the rings through mode 0 only, which the
         # orthonormal FFT makes the ring sum over sqrt(S)
-        blk_rows.append(a[~on_ring])
-        blk_cols.append(G * n_modes + b[~on_ring] - G)
-        values.append(math.sqrt(S) * rows.data[~on_ring])
-        rows = A[center].tocoo()
-        b = group[rows.col]
-        on_ring = b < G
-        blk_rows.append(G * n_modes + rows.row)
-        blk_cols.append(np.where(on_ring, b, G * n_modes + b - G))
-        values.append(np.where(on_ring, rows.data / math.sqrt(S),
-                               rows.data))
-        size = G * n_modes + 2
-        B = sp.csc_matrix((np.concatenate(values),
-                           (np.concatenate(blk_rows),
-                            np.concatenate(blk_cols))),
-                          shape=(size, size), dtype=complex)
-        self._lu = splu(B)
+        c_rows = A[center].tocoo()
+        c_cols = place[c_rows.col]
+        center_a = np.concatenate([a[~on_ring], c_rows.row])
+        center_b = np.concatenate([b[~on_ring], c_cols])
+        center_values = np.concatenate([
+            math.sqrt(S) * rows.data[~on_ring],
+            np.where(c_cols >= 2, c_rows.data / math.sqrt(S), c_rows.data)])
+        gaps = np.concatenate([ring_a - ring_b, center_a - center_b])
+        self.kl = kl = max(int(gaps.max()), 0)
+        self.ku = ku = max(int(-gaps.min()), 0)
+        # LAPACK band storage: A[i, k] at ab[kl + ku + i - k, k], with kl
+        # rows on top for the fill of the row interchanges
+        band = np.zeros((2 * kl + ku + 1, 2 + G * n_modes), dtype=complex,
+                        order="F")
+        band[(kl + ku + ring_a - ring_b)[:, None],
+             ring_b[:, None] + G * np.arange(n_modes)] = lam
+        np.add.at(band, (kl + ku + center_a - center_b, center_b),
+                  center_values)
+        self._lu, self._piv, info = zgbtrf(band, kl, ku, overwrite_ab=True)
+        if info > 0:
+            raise RuntimeError("Factor is exactly singular")
 
     def solve(self, v):
         G, S = self.ring.shape
         modes = np.fft.rfft(v[self.ring], axis=1, norm="ortho")
-        y = self._lu.solve(np.concatenate([modes.T.ravel(), v[self.center]]))
+        y, _ = zgbtrs(self._lu, self.kl, self.ku,
+                      np.concatenate([v[self.center], modes.T.ravel()]),
+                      self._piv, overwrite_b=True)
         x = np.empty(v.shape)
-        x[self.ring] = np.fft.irfft(y[:-2].reshape(self.n_modes, G).T, n=S,
+        x[self.center] = y[:2].real
+        x[self.ring] = np.fft.irfft(y[2:].reshape(self.n_modes, G).T, n=S,
                                     axis=1, norm="ortho")
-        x[self.center] = y[-2:].real
         return x
 
 
@@ -447,8 +462,8 @@ class _StepWorkspace:
     Fourier path: a fresh rotation average that does not contract cannot
     be helped by another average, and every later factor is the exact LU.
     How far a factor may drift depends on what a new one costs: on the
-    40x160 mesh a Fourier solve costs about a quarter of an exact one and
-    a Fourier factorization about a sixth, so the threshold is
+    40x160 mesh a Fourier solve costs about a sixth of an exact one and a
+    Fourier factorization about a fortieth, so the threshold is
     ``THETA_MAX_FOURIER`` = 0.15 for a Fourier factor and ``THETA_MAX`` =
     0.05 for an exact LU.  On the regular and log desk runs the average
     contracts at theta of about 1e-5 and one Fourier factor serves the

@@ -486,6 +486,14 @@ class TestSelftestAndInfo:
         assert cli.cmd_selftest(echo=msgs.append) == 1
         assert any("checkpoint-text" in m and "FAIL" in m for m in msgs)
 
+    def test_selftest_catches_wrong_fourier_solve(self, monkeypatch):
+        solve = stepper._FourierFactor.solve
+        monkeypatch.setattr(stepper._FourierFactor, "solve",
+                            lambda self, v: solve(self, v) * (1.0 + 1e-9))
+        msgs = []
+        assert cli.cmd_selftest(echo=msgs.append) == 1
+        assert any("fourier-solve" in m and "FAIL" in m for m in msgs)
+
     def test_mesh_info(self, tmp_path):
         cfg = cli.parse_config(write_config(tmp_path, TINY))
         msgs = []

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import sparse as sp
 from scipy.sparse.linalg import splu
 
 from chbs import cli, diagnostics, diskfem, graphs, reference, stepper
@@ -41,17 +42,28 @@ def pinned_obstacle_problem(ops, eps=0.05, t_final=2e-3, seed=2):
     return stepper.problem_data(ops, phi0, pair, f=f, g=g), params
 
 
-def recording_splu(monkeypatch):
-    """Patch ``stepper.splu`` to note the dtype of every matrix it
-    factors; returns the list of dtypes."""
-    real = stepper.splu
+def recording_factors(monkeypatch):
+    """Patch the stepper to note every factorization of a Newton matrix:
+    "fourier" when a ``_FourierFactor`` is built, "exact" when ``splu``
+    is called.  The exact LUs expose ``solve`` only, the one method the
+    stepper may use.  Returns the list of kinds."""
+    fourier, exact = stepper._FourierFactor, stepper.splu
     kinds = []
 
-    def record(A, **kwargs):
-        kinds.append(A.dtype)
-        return real(A, **kwargs)
+    class SolveOnly:
+        def __init__(self, lu):
+            self.solve = lu.solve
 
-    monkeypatch.setattr(stepper, "splu", record)
+    def record_fourier(*args):
+        kinds.append("fourier")
+        return fourier(*args)
+
+    def record_exact(A, **kwargs):
+        kinds.append("exact")
+        return SolveOnly(exact(A, **kwargs))
+
+    monkeypatch.setattr(stepper, "_FourierFactor", record_fourier)
+    monkeypatch.setattr(stepper, "splu", record_exact)
     return kinds
 
 
@@ -468,27 +480,17 @@ class TestRun:
     def test_refactors_count_every_factorization(self, tiny_ops,
                                                  tiny_renumbered_ops,
                                                  monkeypatch):
-        real = stepper.splu
-        calls = []
-
-        class SolveOnly:
-            def __init__(self, lu):
-                self.solve = lu.solve
-
-        def counting_splu(A, **kwargs):
-            calls.append(A.dtype)
-            return SolveOnly(real(A, **kwargs))
-
-        monkeypatch.setattr(stepper, "splu", counting_splu)
+        calls = recording_factors(monkeypatch)
         # Fourier factors on the ring mesh, exact LUs on its renumbered copy
-        for ops, dtype in ((tiny_ops, complex), (tiny_renumbered_ops, float)):
+        for ops, kind in ((tiny_ops, "fourier"),
+                          (tiny_renumbered_ops, "exact")):
             calls.clear()
             data, params = tiny_problem(ops, "log", amp=0.3, t_final=8e-3)
             traj = stepper.run(data, params, ops)
             assert traj.ok
             assert len(calls) == sum(r.refactors for r in traj.reports[1:])
             assert len(calls) >= 1
-            assert set(calls) == {np.dtype(dtype)}
+            assert set(calls) == {kind}
 
     # a non-finite direction, and a finite one with backward error 1
     # on a mesh without ring numbering, where every factor is an exact LU
@@ -599,6 +601,30 @@ class TestFourierFactor:
         want = splu(A).solve(v)
         assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
 
+    @pytest.mark.parametrize("rings, sectors", (
+        (1, 5), (2, 8), (4, 16), (40, 160)))
+    def test_mode_blocks_form_one_band_three_wide(self, request, rings,
+                                                  sectors):
+        ops = ring_ops(request, rings, sectors)
+        data, params = tiny_problem(ops, "obstacle", eps=0.1)
+        work = stepper._StepWorkspace(ops, data.pair, params)
+        phi = np.random.default_rng(7).uniform(-1.3, 1.3, ops.mesh.n_bulk)
+        A = work.R @ work.jacobian_matrix(phi, average=True)
+        factor = stepper._FourierFactor(A, rings, sectors)
+        assert (factor.kl, factor.ku) == (3, 3)
+
+    def test_singular_matrix_raises_like_splu(self, tiny_ops):
+        # no entry in the center's phi column: exactly singular
+        data, params = tiny_problem(tiny_ops)
+        work = stepper._StepWorkspace(tiny_ops, data.pair, params)
+        keep = np.ones(work.L.shape[0])
+        keep[0] = 0.0
+        A = (work.R @ work.L @ sp.diags(keep)).tocsc()
+        with pytest.raises(RuntimeError):
+            splu(A)
+        with pytest.raises(RuntimeError, match="exactly singular"):
+            stepper._FourierFactor(A, *work.rings)
+
     @pytest.mark.parametrize("kind", ("regular", "log", "obstacle"))
     def test_average_of_a_radial_state_is_the_jacobian(self, small_ops,
                                                        kind):
@@ -618,10 +644,10 @@ class TestFourierFactor:
         # factor of R L, exact as L is rotation invariant; the frozen-graph
         # iteration on it contracts fast enough to keep it
         data, params = pinned_obstacle_problem(desk_ops)
-        kinds = recording_splu(monkeypatch)
+        kinds = recording_factors(monkeypatch)
         traj = stepper.run(data, params, desk_ops)
         assert traj.ok
-        assert kinds == [complex]
+        assert kinds == ["fourier"]
         assert not any(r.exact_lu for r in traj.reports[1:])
         assert len(kinds) == sum(r.refactors for r in traj.reports[1:])
 
@@ -635,11 +661,11 @@ class TestFourierFactor:
         ops = diskfem.assemble(diskfem.gen_disk_mesh(4, 16))
         data, params = pinned_obstacle_problem(ops, eps=0.01, t_final=4e-2,
                                                seed=8)
-        kinds = recording_splu(monkeypatch)
+        kinds = recording_factors(monkeypatch)
         traj = stepper.run(data, params, ops)
         assert traj.ok
-        assert kinds[:2] == [complex, complex] and len(kinds) > 2
-        assert all(kind == float for kind in kinds[2:]), kinds
+        assert kinds[:2] == ["fourier", "fourier"] and len(kinds) > 2
+        assert all(kind == "exact" for kind in kinds[2:]), kinds
         assert all(r.exact_lu for r in traj.reports[1:])
         assert len(kinds) == sum(r.refactors for r in traj.reports[1:])
         assert len(kinds) <= params.n_steps // 4
