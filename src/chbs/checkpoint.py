@@ -12,15 +12,17 @@ each row one line of space-separated ``%.17g`` values, so that a file
 reads back bit-exactly.  Python prints a 17-digit float in about a
 microsecond, in every form it has, so :func:`format_row` prints a whole
 row with an exact vectorized kernel, at about a quarter of that.  A run
-does not print even so: :class:`Stream` is a run hook that sends the raw
-float64 bytes of each block through a pipe to a child process running
-this file, which formats and writes them while the solver goes on.  The
-child writes a block only after all of its bytes have arrived, and
-flushes it, so a run that crashes or is interrupted leaves only complete
-blocks.
+does not print even so.  A command starts one child process running this
+file (:class:`Writer`) before its own work, and every checkpoint file of
+the command goes through it: :class:`Stream` is a run hook that sends the
+raw float64 bytes of each block, with the path of its file, through the
+shared pipe, and the child formats and writes them while the solvers go
+on.  The child opens a file at its first block, and writes a block only
+after all of its bytes have arrived, and flushes it, so a run that
+crashes or is interrupted leaves only complete blocks.
 
 This module imports numpy and the standard library, nothing of chbs or
-scipy.  The child starts as ``python -I -S <this file> <dir> <path>``
+scipy.  The child starts as ``python -I -S <this file> <dir>``
 (:func:`writer_command`), without ``site``; ``<dir>`` is the directory
 that holds the parent's numpy, so that it loads the same one.
 """
@@ -41,9 +43,14 @@ if __name__ == "__main__":
 import numpy as np
 
 FIELDS = ("phi", "mu", "psi", "w")
-# block header on the pipe: step, time and the length of each row; the
-# rows follow as native float64
-_HEADER = struct.Struct("=qd%dq" % len(FIELDS))
+# message header on the pipe: kind, the length of the path, then for a
+# block its step, time and the length of each row (zeros for a close);
+# the path follows, then the rows as native float64
+_HEADER = struct.Struct("=cIqd%dq" % len(FIELDS))
+_BLOCK, _CLOSE = b"B", b"C"
+# the writer answers a close with the length of a reason, then the reason,
+# UTF-8: empty when the file was written whole
+_REPLY = struct.Struct("=I")
 
 # the decimal exponents k = floor(log10|x|) that format_row certifies:
 # those of 1e-280 <= |x| <= 1e280, where every product below stays clear
@@ -184,99 +191,102 @@ def format_block(n, t, rows):
     return "\n".join(lines) + "\n"
 
 
-def writer_command(path):
-    """The command line of the writer process for the file ``path``.
+def writer_command():
+    """The command line of a writer process.
 
     ``-I -S`` keeps the user's environment and ``site`` out of the
-    child; the directory of the parent's numpy stands in for them.
+    child; the directory of the parent's numpy stands in for them.  The
+    child reads messages on stdin and answers closes on stdout; the
+    blocks name their files.
     """
     return [sys.executable, "-I", "-S", os.path.abspath(__file__),
-            os.path.dirname(os.path.dirname(np.__file__)), os.fspath(path)]
+            os.path.dirname(os.path.dirname(np.__file__))]
 
 
-def encode_block(n, t, rows):
-    """The bytes of one block on the pipe; ``rows`` are float64 arrays."""
-    return b"".join([_HEADER.pack(n, t, *map(len, rows))]
-                    + [row.tobytes() for row in rows])
+def encode_block(path, n, t, rows):
+    """The bytes on the pipe of one block of the file ``path``; ``rows``
+    are float64 arrays."""
+    name = os.fsencode(path)
+    return b"".join([_HEADER.pack(_BLOCK, len(name), n, t, *map(len, rows)),
+                     name] + [row.tobytes() for row in rows])
 
 
-def write_blocks(src, out):
-    """Format the blocks read from binary ``src`` onto text ``out``.
+def encode_close(path):
+    """The bytes on the pipe that close the file ``path``."""
+    name = os.fsencode(path)
+    return _HEADER.pack(_CLOSE, len(name), 0, 0.0,
+                        *[0] * len(FIELDS)) + name
 
-    Each block is written and flushed once all of its bytes are read.
-    Returns 0 when ``src`` ends between blocks and 1 when it ends inside
-    one, whose bytes are then dropped.
+
+def _close(out):
+    """Close the file ``out``, if any; the error that stops it, or None."""
+    try:
+        if out is not None:
+            out.close()
+    except OSError as exc:
+        return exc
+    return None
+
+
+def serve(src, replies):
+    """Write the blocks read from binary ``src`` to the files they name.
+
+    A file opens at its first block.  Each block is written and flushed
+    once all of its bytes are read.  A file that cannot be opened or
+    written takes no more blocks.  A close message closes its file and
+    answers on binary ``replies`` with the reason the file failed, empty
+    when it did not.  Returns 0 when ``src`` ends between messages and
+    every file closed was written, and 1 when a file failed or ``src``
+    ends inside a message, whose bytes are then dropped.
     """
-    while True:
-        head = src.read(_HEADER.size)
-        if not head:
-            return 0
-        if len(head) < _HEADER.size:
-            return 1
-        n, t, *sizes = _HEADER.unpack(head)
-        body = src.read(8 * sum(sizes))
-        if len(body) < 8 * sum(sizes):
-            return 1
-        values = np.frombuffer(body, dtype=np.float64)
-        rows = np.split(values, np.cumsum(sizes)[:-1])
-        out.write(format_block(n, t, rows))
-        out.flush()
+    files = {}  # path -> its open file, or the OSError that stopped it
+    failed = 0
+    try:
+        while True:
+            head = src.read(_HEADER.size)
+            if not head:
+                return failed
+            if len(head) < _HEADER.size:
+                return 1
+            kind, size, n, t, *sizes = _HEADER.unpack(head)
+            path = src.read(size)
+            body = src.read(8 * sum(sizes))
+            if len(path) < size or len(body) < 8 * sum(sizes):
+                return 1
+            if kind == _CLOSE:
+                out = files.pop(path, None)
+                error = out if isinstance(out, OSError) else _close(out)
+                reason = b""
+                if error is not None:
+                    failed = 1
+                    reason = (error.strerror or str(error)).encode(
+                        "utf-8", "replace")
+                replies.write(_REPLY.pack(len(reason)) + reason)
+                replies.flush()
+                continue
+            out = files.get(path)
+            if not isinstance(out, OSError):
+                try:
+                    if out is None:
+                        out = files[path] = open(path, "w",
+                                                 encoding="utf-8")
+                    values = np.frombuffer(body, dtype=np.float64)
+                    out.write(format_block(
+                        n, t, np.split(values, np.cumsum(sizes)[:-1])))
+                    out.flush()
+                except OSError as exc:
+                    _close(out)
+                    files[path] = exc
+                    failed = 1
+    finally:
+        for out in files.values():
+            if not isinstance(out, OSError):
+                _close(out)
 
 
-class Stream:
-    """Run hook that streams every ``stride``-th state to ``path``.
-
-    The writer process starts at the first block.  :meth:`close` ends the
-    stream and waits for the writer; use the stream as a context manager
-    so that the writer never outlives the run.  A broken pipe or a writer
-    that fails raises :class:`OSError` naming ``path``.
-    """
-
-    def __init__(self, path, stride=1):
-        self.path = os.fspath(path)
-        self.stride = stride
-        self._proc = None
-
-    def __call__(self, state, report):
-        if state.n % self.stride:
-            return
-        if self._proc is None:
-            self._proc = self._start()
-        block = encode_block(state.n, state.t,
-                             [getattr(state, name) for name in FIELDS])
-        try:
-            self._proc.stdin.write(block)
-            self._proc.stdin.flush()
-        except BrokenPipeError:
-            raise OSError("checkpoint writer for %s stopped" % self.path) \
-                from None
-
-    def _start(self):
-        # only the parent needs these
-        import fcntl
-        import subprocess
-        proc = subprocess.Popen(writer_command(self.path),
-                                stdin=subprocess.PIPE)
-        try:
-            # room for about ten desk-mesh blocks, so that the run seldom
-            # waits for the writer; the default 64 KiB holds less than one
-            fcntl.fcntl(proc.stdin.fileno(), fcntl.F_SETPIPE_SZ, 1 << 20)
-        except (AttributeError, OSError):
-            pass  # not Linux, or above the user's pipe limit: runs slower
-        return proc
-
-    def close(self):
-        """Close the pipe and wait for the writer to finish its blocks."""
-        proc, self._proc = self._proc, None
-        if proc is None:
-            return
-        try:
-            proc.stdin.close()
-        except BrokenPipeError:
-            pass  # the writer is gone; its exit status says why
-        if proc.wait() != 0:
-            raise OSError("checkpoint writer for %s exited with status %d"
-                          % (self.path, proc.returncode))
+class _Closing:
+    """Context manager that calls ``close``; a close error gives way to
+    the error that ended the block, which is the one to report."""
 
     def __enter__(self):
         return self
@@ -287,19 +297,128 @@ class Stream:
         except OSError:
             if kind is None:
                 raise
-            # else the error that ended the run is the one to report
+
+
+class Writer(_Closing):
+    """The writer process of one command, shared by all its streams.
+
+    The process starts at once, so that its numpy import overlaps the
+    caller's own work.  ``lock``, a ``threading.Lock``, keeps each
+    message on the shared pipe whole when streams are fed from several
+    threads; the caller makes it, so that this file, which the writer
+    process runs, needs no threading.  Use the writer as a context
+    manager, so that the process never outlives the command: leaving it
+    ends the pipe and reaps the process.  A writer that never received a
+    message has nothing to finish and is killed.
+    """
+
+    def __init__(self, lock):
+        # only the parent needs these
+        import fcntl
+        import subprocess
+        self._lock = lock
+        self._used = False
+        # set while a message is on its way, and left set when sending it
+        # failed: a message cut short garbles every later one
+        self._broken = False
+        self._proc = subprocess.Popen(writer_command(),
+                                      stdin=subprocess.PIPE,
+                                      stdout=subprocess.PIPE)
+        try:
+            # room for about ten desk-mesh blocks, so that a run seldom
+            # waits for the writer; the default 64 KiB holds less than one
+            fcntl.fcntl(self._proc.stdin.fileno(), fcntl.F_SETPIPE_SZ,
+                        1 << 20)
+        except (AttributeError, OSError):
+            pass  # not Linux, or above the user's pipe limit: runs slower
+
+    def _exchange(self, path, message, answered):
+        """Send ``message`` for the file ``path`` whole, and return the
+        writer's answer to it when it has one."""
+        with self._lock:
+            if self._broken:
+                raise OSError("checkpoint writer for %s stopped" % path)
+            self._used = self._broken = True
+            pipe = self._proc.stdin
+            try:
+                pipe.write(message)
+                pipe.flush()
+            except BrokenPipeError:
+                raise OSError("checkpoint writer for %s stopped"
+                              % path) from None
+            reason = b""
+            if answered:
+                head = self._proc.stdout.read(_REPLY.size)
+                if len(head) < _REPLY.size:
+                    raise OSError("checkpoint writer for %s stopped" % path)
+                reason = self._proc.stdout.read(*_REPLY.unpack(head))
+            self._broken = False
+        return reason.decode("utf-8", "replace")
+
+    def send(self, path, n, t, rows):
+        """Send block ``n`` at time ``t`` of the file ``path``."""
+        self._exchange(path, encode_block(path, n, t, rows), False)
+
+    def finish(self, path):
+        """Return once the writer has written, flushed and closed the
+        file ``path``; :class:`OSError` naming it if it could not."""
+        reason = self._exchange(path, encode_close(path), True)
+        if reason:
+            raise OSError("checkpoint writer for %s: %s" % (path, reason))
+
+    def close(self):
+        """End the pipe and reap the writer once it has finished."""
+        proc = self._proc
+        if not self._used:
+            proc.kill()
+        try:
+            proc.stdin.close()
+        except BrokenPipeError:
+            pass  # the writer is gone; its exit status says why
+        status = proc.wait()
+        proc.stdout.close()
+        if self._used and status != 0:
+            raise OSError("checkpoint writer exited with status %d"
+                          % status)
+
+
+class Stream(_Closing):
+    """Run hook that sends every ``stride``-th state to ``path`` through
+    ``writer``.
+
+    The file opens at the first block, so a stream that sent none leaves
+    no file.  :meth:`close` returns once the writer has written and
+    flushed the last block; use the stream as a context manager.  A
+    broken pipe, or a file the writer could not write, raises
+    :class:`OSError` naming ``path``.
+    """
+
+    def __init__(self, writer, path, stride=1):
+        self.writer = writer
+        self.path = os.fspath(path)
+        self.stride = stride
+        self._sent = False
+
+    def __call__(self, state, report):
+        if state.n % self.stride:
+            return
+        self.writer.send(self.path, state.n, state.t,
+                         [getattr(state, name) for name in FIELDS])
+        self._sent = True
+
+    def close(self):
+        """Close the file once the writer has finished its blocks."""
+        sent, self._sent = self._sent, False
+        if sent:
+            self.writer.finish(self.path)
 
 
 def main(argv):
-    """Writer process: blocks from stdin to the file ``argv[2]``."""
-    try:
-        out = open(argv[2], "w", encoding="utf-8")
-    except OSError as exc:
-        print("checkpoint writer: %s" % exc, file=sys.stderr)
-        return 2
-    with out:
-        return write_blocks(sys.stdin.buffer, out)
+    """Writer process: messages from stdin, answers to closes on stdout."""
+    return serve(sys.stdin.buffer, sys.stdout.buffer)
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    # every file is closed and every answer flushed by now; os._exit
+    # skips the interpreter's teardown, which takes longer than a block
+    os._exit(main(sys.argv))

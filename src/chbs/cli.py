@@ -240,13 +240,16 @@ def build_problem(cfg, ops):
 
 def execute_run(cfg, out_dir=None, echo=print):
     """Validate, run and write outputs; returns (exit_code, trajectory)."""
-    try:
-        mesh = build_mesh(cfg)
-    except ParseError as exc:
-        echo("mesh error: %s" % exc)
-        return 2, None
-    return execute_on(cfg, diskfem.assemble(mesh), out_dir or cfg.out_dir,
-                      echo)
+    # the checkpoint writer starts first, so that its numpy import
+    # overlaps the mesh, the assembly and the first steps
+    with checkpoint.Writer(threading.Lock()) as writer:
+        try:
+            mesh = build_mesh(cfg)
+        except ParseError as exc:
+            echo("mesh error: %s" % exc)
+            return 2, None
+        return execute_on(cfg, diskfem.assemble(mesh),
+                          out_dir or cfg.out_dir, writer, echo)
 
 
 def _admit(cfg, datas, params, ops, echo):
@@ -286,11 +289,13 @@ def _admit(cfg, datas, params, ops, echo):
     return True, lines
 
 
-def execute_on(cfg, ops, out, echo=print, hooks=()):
+def execute_on(cfg, ops, out, writer, echo=print, hooks=()):
     """:func:`execute_run` on operators already assembled from ``cfg``,
-    with ``hooks`` run after the run's own.  ``summary.txt`` is written on
-    every ending, and its last lines name it; an exception other than an
-    interrupt adds ``stopped at step k: <cause>`` and goes on."""
+    with the checkpoints sent through the command's
+    :class:`checkpoint.Writer` ``writer`` and ``hooks`` run after the
+    run's own.  ``summary.txt`` is written on every ending, and its last
+    lines name it; an exception other than an interrupt adds ``stopped at
+    step k: <cause>`` and goes on."""
     os.makedirs(out, exist_ok=True)
     params = build_params(cfg)
     data = build_problem(cfg, ops)
@@ -308,11 +313,12 @@ def execute_on(cfg, ops, out, echo=print, hooks=()):
         if not ok:
             return 2, None
         # run.csv gets each row as it is made; the checkpoint text is
-        # formatted by a writer process while the run goes on, and the
-        # stream's exit waits for it
+        # formatted by the writer process while the run goes on, and the
+        # stream's exit waits until the writer has flushed its last block
         with open(os.path.join(out, "run.csv"), "w",
                   encoding="utf-8") as fh, \
-                checkpoint.Stream(os.path.join(out, "checkpoints.txt"),
+                checkpoint.Stream(writer,
+                                  os.path.join(out, "checkpoints.txt"),
                                   cfg.stride) as stream:
             rows = diagnostics.csv_hook(fh, data.pair, params, ops,
                                         stride=cfg.stride)
@@ -383,9 +389,6 @@ def cmd_sweep(cfg, axis, ladder, workers=1, echo=print):
                 return 2
     members = [replace(cfg, **dict.fromkeys(_SWEEP_AXES[axis], val))
                for val in ladder]
-    # the sweep axes (h, eps, viscosities) never change the mesh, so all
-    # members and the post-processing share one set of operators
-    ops = diskfem.assemble(build_mesh(cfg))
     out_root = cfg.out_dir
     jobs = [(m, os.path.join(out_root, "member_%02d" % i))
             for i, m in enumerate(members)]
@@ -396,23 +399,30 @@ def cmd_sweep(cfg, axis, ladder, workers=1, echo=print):
         if stop.is_set():
             raise KeyboardInterrupt
 
-    def run_member(job):
-        member, out = job
-        return execute_on(member, ops, out, echo=lambda *_: None,
-                          hooks=(halt,))
-
     from concurrent.futures import ThreadPoolExecutor
-    # members run on pool threads for any worker count; Ctrl-C reaches
-    # this thread, which then stops the running members at their next
-    # step and cancels the others, as any failure does
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run_member, job) for job in jobs]
-        try:
-            results = [f.result() for f in futures]
-        except BaseException:
-            stop.set()
-            pool.shutdown(cancel_futures=True)
-            raise
+    # every member's checkpoints go through one writer, started before
+    # the assembly so that its numpy import overlaps it
+    with checkpoint.Writer(threading.Lock()) as writer:
+        # the sweep axes (h, eps, viscosities) never change the mesh, so
+        # all members and the post-processing share one set of operators
+        ops = diskfem.assemble(build_mesh(cfg))
+
+        def run_member(job):
+            member, out = job
+            return execute_on(member, ops, out, writer,
+                              echo=lambda *_: None, hooks=(halt,))
+
+        # members run on pool threads for any worker count; Ctrl-C
+        # reaches this thread, which then stops the running members at
+        # their next step and cancels the others, as any failure does
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(run_member, job) for job in jobs]
+            try:
+                results = [f.result() for f in futures]
+            except BaseException:
+                stop.set()
+                pool.shutdown(cancel_futures=True)
+                raise
     # exit code 0 is exactly a finished run with every step converged
     trajs = [traj if code == 0 else None for code, traj in results]
 

@@ -1,3 +1,5 @@
+import subprocess
+
 import numpy as np
 import pytest
 
@@ -37,3 +39,28 @@ def desk_ops():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(autouse=True)
+def started_processes(monkeypatch):
+    """Every ``subprocess.Popen`` the test starts, in order.
+
+    A test that leaves one of them unreaped fails at teardown: a command
+    reaps its checkpoint writer on every ending.  The processes left are
+    killed and reaped first, so that they do not outlive the test.
+    """
+    started = []
+    init = subprocess.Popen.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        started.append(self)
+
+    monkeypatch.setattr(subprocess.Popen, "__init__", recorded)
+    yield started
+    left = [proc.args for proc in started if proc.returncode is None]
+    for proc in started:
+        if proc.returncode is None:
+            proc.kill()
+            proc.wait()
+    assert not left, "processes left unreaped: %r" % left

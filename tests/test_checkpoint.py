@@ -2,6 +2,9 @@
 
 import ast
 import subprocess
+import sys
+import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -137,18 +140,43 @@ class TestFormatRowIsPrintf:
 
 def test_cut_stream_keeps_complete_blocks(traj, tmp_path):
     first, second, third = traj.states[:3]
-    blocks = [checkpoint.encode_block(s.n, s.t, rows(s))
+    path = tmp_path / "checkpoints.txt"
+    blocks = [checkpoint.encode_block(path, s.n, s.t, rows(s))
               for s in (first, second, third)]
     # the third block stops after its header and half of its phi row
     cut = len(blocks[2]) - 8 * sum(r.size for r in rows(third)) \
         + 8 * (third.phi.size // 2)
-    path = tmp_path / "checkpoints.txt"
-    proc = subprocess.run(checkpoint.writer_command(path),
+    proc = subprocess.run(checkpoint.writer_command(),
                           input=blocks[0] + blocks[1] + blocks[2][:cut],
-                          timeout=60)
+                          stdout=subprocess.PIPE, timeout=60)
     assert proc.returncode != 0
+    assert proc.stdout == b""  # no close, so no answer
     assert path.read_text() == saved_text(tmp_path, [first, second])
     assert_states_equal(stepper.load_states(path), [first, second])
+
+
+def test_interleaved_files_each_get_their_blocks(traj, tmp_path):
+    # two files on one pipe, their blocks alternating, and a third that
+    # cannot be opened: each close answers for its own file only
+    paths = [tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "dir"]
+    paths[2].mkdir()
+    states = traj.states[:3]
+    message = b"".join(checkpoint.encode_block(path, s.n, s.t, rows(s))
+                       for s in states for path in paths)
+    message += b"".join(map(checkpoint.encode_close, paths))
+    proc = subprocess.run(checkpoint.writer_command(), input=message,
+                          stdout=subprocess.PIPE, timeout=60)
+    assert proc.returncode == 1  # one file failed
+    answers = []
+    rest = proc.stdout
+    while rest:
+        (size,) = checkpoint._REPLY.unpack(rest[:checkpoint._REPLY.size])
+        rest = rest[checkpoint._REPLY.size:]
+        answers.append(rest[:size].decode())
+        rest = rest[size:]
+    assert answers[:2] == ["", ""] and answers[2] and len(answers) == 3
+    for path in paths[:2]:
+        assert path.read_text() == saved_text(tmp_path, states)
 
 
 def test_run_that_raises_leaves_the_blocks_before(tiny_ops, tmp_path):
@@ -166,9 +194,52 @@ def test_run_that_raises_leaves_the_blocks_before(tiny_ops, tmp_path):
 
     path = tmp_path / "checkpoints.txt"
     with pytest.raises(RuntimeError):
-        with checkpoint.Stream(path) as stream:
+        with checkpoint.Writer(threading.Lock()) as writer, \
+                checkpoint.Stream(writer, path) as stream:
             stepper.run(data, params, tiny_ops, hooks=(stream, crash))
     assert path.read_text() == saved_text(tmp_path, seen)
+
+
+def test_threads_sharing_a_writer_each_get_their_own_file(tmp_path):
+    # more streaming threads than cores, switching as often as the
+    # interpreter allows: every file holds exactly its own blocks, and
+    # only the stream whose file cannot be written hears of a failure
+    gen = np.random.default_rng(9)
+    paths = [tmp_path / ("f%d.txt" % i) for i in range(5)] + [tmp_path]
+    states = {path: [SimpleNamespace(
+        n=n, t=n / 8, **{name: gen.standard_normal(size)
+                         for name, size in zip(checkpoint.FIELDS,
+                                               (900, 900, 60, 60))})
+        for n in range(12)] for path in paths}
+    errors = {}
+
+    def feed(writer, path):
+        try:
+            with checkpoint.Stream(writer, path) as stream:
+                for state in states[path]:
+                    stream(state, None)
+        except OSError as exc:
+            errors[path] = exc
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        # the writer's exit status reports the failed file too
+        with pytest.raises(OSError, match="exited with status 1"), \
+                checkpoint.Writer(threading.Lock()) as writer:
+            threads = [threading.Thread(target=feed, args=(writer, path))
+                       for path in paths]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert list(errors) == [tmp_path]
+    assert "checkpoint writer for %s: " % tmp_path in str(errors[tmp_path])
+    for path in paths[:-1]:
+        assert path.read_text() == saved_text(tmp_path, states[path])
 
 
 class TestLoaderRejectsCutFiles:

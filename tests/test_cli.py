@@ -247,15 +247,8 @@ class TestCmdRun:
                 == (tmp_path / "saved.txt").read_bytes())
 
     def test_unwritable_checkpoint_path_exit_2(self, tmp_path, capfd,
-                                               monkeypatch):
-        writers = []
-
-        class Recorded(subprocess.Popen):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                writers.append(self)
-
-        monkeypatch.setattr(subprocess, "Popen", Recorded)
+                                               started_processes):
+        writers = started_processes
         path = write_config(tmp_path, TINY + "ic = random(0.3, 3)\n")
         out = tmp_path / "out"
         (out / "checkpoints.txt").mkdir(parents=True)
@@ -274,6 +267,28 @@ class TestCmdRun:
         assert last.startswith("stopped at step 4: OSError: checkpoint "
                                "writer for ")
         assert "checkpoints.txt" in last
+
+    @pytest.mark.parametrize("body,args,writers", (
+        (TINY + "potential = obstacle\nic = constant(1)\n", ["run"], 1),
+        (TINY + "mesh_file = bad.mesh\n", ["run"], 1),
+        (TINY, ["sweep", "--axis", "eps", "--ladder", "0.1,0.2,0.4"], 0)),
+        ids=("validation-refusal", "mesh-error", "bad-ladder"))
+    def test_refused_command_leaves_no_checkpoints(
+            self, tmp_path, capsys, started_processes, body, args, writers):
+        # a writer starts before the mesh is built, and must be reaped
+        # on every ending; it opens a file only at the file's first block
+        bad = tmp_path / "bad.mesh"
+        bad.write_text("vertices 3\n0 0\n1 0\n0 1\ntriangles 1\n0 2 1\n"
+                       "boundary 3\n0 1 2\n")
+        path = write_config(tmp_path, body.replace("bad.mesh", str(bad)))
+        out = tmp_path / "out"
+        assert cli.main(args + ["--config", path, "--out", str(out)]) == 2
+        printed = capsys.readouterr().out
+        assert ("mesh error" in printed) == ("mesh_file" in body)
+        assert len(started_processes) == writers
+        assert all(p.returncode is not None for p in started_processes)
+        assert not [files for _, _, files in os.walk(tmp_path)
+                    if "checkpoints.txt" in files]
 
     def test_summary_totals(self, tmp_path):
         body = TINY + "ic = random(0.3, 5)\n"
@@ -381,6 +396,42 @@ class TestCmdSweep:
         table = (tmp_path / "sweep" / "table.csv").read_text()
         assert table.count(",3,") >= 3  # member status column
 
+    def test_unwritable_member_checkpoints_exit_2(self, tmp_path, capfd,
+                                                  monkeypatch,
+                                                  started_processes):
+        trajs = {}
+        run = stepper.run
+
+        def recorded(data, params, ops, hooks=()):
+            traj = run(data, params, ops, hooks=hooks)
+            trajs[params.eps] = traj
+            return traj
+
+        monkeypatch.setattr(stepper, "run", recorded)
+        body = TINY + "ic = random(0.3, 3)\nstride = 2\n"
+        path = write_config(tmp_path, body)
+        out = tmp_path / "sweep"
+        # the last member, so that no failure stops the others
+        bad = out / "member_02" / "checkpoints.txt"
+        bad.mkdir(parents=True)
+        code = cli.main(["sweep", "--config", path, "--axis", "eps",
+                         "--ladder", "0.4,0.2,0.1", "--workers", "2",
+                         "--out", str(out)])
+        assert code == 2
+        err = capfd.readouterr().err
+        assert "file error: checkpoint writer for %s" % bad in err
+        assert len(started_processes) == 1
+        last = (bad.parent / "summary.txt").read_text().splitlines()[-1]
+        assert last.startswith("stopped at step 4: OSError: checkpoint "
+                               "writer for %s: " % bad)
+        for i, eps in ((0, 0.4), (1, 0.2)):
+            assert trajs[eps].ok
+            saved = tmp_path / ("saved_%d.txt" % i)
+            stepper.save_trajectory(trajs[eps], saved, stride=2)
+            member = out / ("member_%02d" % i)
+            assert ((member / "checkpoints.txt").read_bytes()
+                    == saved.read_bytes())
+
     def test_ctrl_c_stops_the_running_members(self, tmp_path):
         # long enough that no member ends before the interrupt
         body = ("mesh_rings = 8\nmesh_sectors = 32\npotential = log\n"
@@ -409,7 +460,8 @@ class TestCmdSweep:
         finally:
             proc.kill()
             proc.wait()
-        assert "interrupted" in proc.stderr.read()
+        with proc.stderr:
+            assert "interrupted" in proc.stderr.read()
         for table in tables:
             last = (table.parent / "summary.txt").read_text().splitlines()[-1]
             assert last.startswith("interrupted at step ")
@@ -418,17 +470,21 @@ class TestCmdSweep:
             rows = table.read_text().splitlines()[1:]
             assert [int(row.split(",")[0]) for row in rows] \
                 == list(range(k + 1))
+            # the blocks of the states reached, each one complete
+            states = stepper.load_states(table.parent / "checkpoints.txt")
+            assert [s.n for s in states] == list(range(k + 1))
         assert not (out / "member_02").exists()
         assert not (out / "table.csv").exists()
 
 
 class TestCmdContdep:
-    def test_identical_configs(self, tmp_path):
+    def test_identical_configs(self, tmp_path, started_processes):
         path = write_config(tmp_path, TINY + "ic = constant(0)\n")
         cfg = cli.parse_config(path)
         msgs = []
         assert cli.cmd_contdep(cfg, cfg, echo=msgs.append) == 0
         assert any("lhs=0" in m for m in msgs)
+        assert not started_processes  # contdep writes no checkpoints
 
     def test_differing_solver_fields_rejected(self, tmp_path):
         # newton_max = 1 fails the first step: each order must be rejected

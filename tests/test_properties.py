@@ -112,7 +112,7 @@ def test_concurrent_runs_match_sequential(tiny_ops):
         assert np.array_equal(a.states[-1].w, b.states[-1].w)
 
 
-def test_sweep_workers_match_serial(tmp_path):
+def test_sweep_workers_match_serial(tmp_path, started_processes):
     body = ("mesh_rings = 3\nmesh_sectors = 12\nic = random(0.2, 4)\n"
             "t_final = 0.004\neps = 0.5\n")
     cfg_path = tmp_path / "c.cfg"
@@ -123,13 +123,16 @@ def test_sweep_workers_match_serial(tmp_path):
     parallel = dataclasses.replace(cfg, out_dir=str(tmp_path / "par"))
     assert cli.cmd_sweep(serial, "eps", [0.4, 0.2, 0.1],
                          echo=lambda *a: None) == 0
+    assert len(started_processes) == 1
     assert cli.cmd_sweep(parallel, "eps", [0.4, 0.2, 0.1], workers=3,
                          echo=lambda *a: None) == 0
+    assert len(started_processes) == 2  # one writer per sweep
     a = (tmp_path / "serial" / "table.csv").read_text()
     b = (tmp_path / "par" / "table.csv").read_text()
     assert a == b
     # each member's files were written from a pool thread, the
-    # checkpoints by a writer process that thread started
+    # checkpoints by the sweep's one writer process, their blocks
+    # interleaved on its pipe
     for member in ("member_00", "member_01", "member_02"):
         for name in ("checkpoints.txt", "run.csv", "summary.txt"):
             a = (tmp_path / "serial" / member / name).read_bytes()
