@@ -639,7 +639,9 @@ def _selftest_conservation():
 def _selftest_checkpoint():
     # subnormal, normal and largest extremes, the two exact ties of 17
     # digits, and each power of ten in range with both neighbours, which
-    # holds the switches to exponent notation below 1e-4 and from 1e17
+    # holds the switches to exponent notation below 1e-4 and from 1e17;
+    # printed as one block of rows of unequal length, an empty one among
+    # them, each other row ending in a non-finite value
     edges = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
              1234567890123456.25, 1234567890123456.75]
     for p in range(-300, 301):
@@ -647,13 +649,18 @@ def _selftest_checkpoint():
         edges += [np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)]
     values = np.array(edges)
     values = np.concatenate([values, -values])
-    got = checkpoint.format_block(0, 0.0, [values]).split()[3:]
-    want = ["%.17g" % v for v in values]
+    rows = [np.append(row, end) for row, end in zip(
+        np.split(values, [1, 1000, 3000]), (np.nan, np.inf, -np.inf, np.nan))]
+    rows.insert(2, values[:0])
+    got = checkpoint.format_block(0, 0.0, rows)
+    want = "state 0 0\n" + "".join(
+        " ".join("%.17g" % v for v in row) + "\n" for row in rows)
     if got != want:
-        bad = next((g, w) for g, w in zip(got + [""], want + [""])
-                   if g != w)
-        return False, "format_block prints %r where %%.17g gives %r" % bad
-    return True, "%d edge values printed as %%.17g" % values.size
+        at = len(os.path.commonprefix([got, want]))
+        return False, "format_block prints %r where %%.17g gives %r" % (
+            got[max(at - 20, 0):at + 20], want[max(at - 20, 0):at + 20])
+    return True, "%d edge values printed as %%.17g in %d rows" % (
+        values.size, len(rows))
 
 
 def cmd_selftest(mesh_file=None, echo=print):

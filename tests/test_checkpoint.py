@@ -1,6 +1,9 @@
 """The checkpoint format, its writer process and the loader's checks."""
 
 import ast
+import io
+import platform
+import resource
 import subprocess
 import sys
 import threading
@@ -8,7 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from chbs import checkpoint, graphs, stepper
 from chbs.errors import ParseError
@@ -136,6 +139,99 @@ class TestFormatRowIsPrintf:
                 assert_printf(checkpoint.format_row(row), row)
                 assert_printf(checkpoint.format_row(row.tolist()), row)
         assert checkpoint.format_row([]) == printf([]) == ""
+
+
+def served(path, blocks):
+    """The bytes ``serve`` writes to ``path`` for ``blocks`` of
+    ``(n, t, rows)``, read from and answered on in-memory streams."""
+    src = io.BytesIO(b"".join(checkpoint.encode_block(path, n, t, rows)
+                              for n, t, rows in blocks)
+                     + checkpoint.encode_close(path))
+    replies = io.BytesIO()
+    assert checkpoint.serve(src, replies) == 0
+    assert replies.getvalue() == checkpoint._REPLY.pack(0)
+    return path.read_bytes()
+
+
+def assert_served(path, blocks):
+    """``serve`` prints ``blocks`` byte for byte as ``format_block`` and
+    as ``%.17g`` do."""
+    got = served(path, blocks)
+    assert got == "".join(checkpoint.format_block(*block)
+                          for block in blocks).encode("ascii")
+    assert got == "".join(
+        "state %d %.17g\n" % (n, t) + "".join(printf(row) + "\n"
+                                              for row in rows)
+        for n, t, rows in blocks).encode("ascii")
+
+
+class TestServeIsPrintf:
+    def test_rows_of_no_and_one_value(self, tmp_path):
+        # an empty row still prints its line
+        assert_served(tmp_path / "c.txt", [(0, 0.0, [[], [], [], []]),
+                                           (1, 0.5, [[1.5], [], [-0.0], []]),
+                                           (2, 1.0, [[], [2.0], [], [3.0]])])
+
+    @pytest.mark.parametrize("end", [np.nan, np.inf, -np.inf, 5e-324,
+                                     -2.2250738585072009e-308,
+                                     1234567890123456.25,
+                                     1234567890123456.75])
+    def test_special_values_end_rows_and_blocks(self, tmp_path, end):
+        # the value the kernel leaves to %.17g, before each newline
+        assert_served(tmp_path / "c.txt", [
+            (0, 0.0, [[0.1, end], [end], [1e300, -2.5, end], [end]]),
+            (1, 0.5, [[end, 3.0, end], [], [2.0], [-1e-5, end]])])
+
+    @settings(derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.lists(st.floats(), max_size=12), min_size=4,
+                    max_size=4))
+    def test_any_row_lengths(self, tmp_path, rows):
+        assert_served(tmp_path / "c.txt", [(7, 0.25, rows),
+                                           (8, 0.5, rows[::-1])])
+
+
+def test_rows_of_other_types_are_sent_as_float64(tmp_path):
+    # the pipe carries float64 whatever a row's type: a float32 row cut
+    # its body short, so that the writer took the close for the rest of
+    # it, and an int32 row crashed the writer
+    rows = [np.arange(-20, 20, dtype=np.int32),
+            np.linspace(-1, 1, 40, dtype=np.float32),
+            np.arange(3), [0.5, 2]]
+    path = tmp_path / "checkpoints.txt"
+    with checkpoint.Writer(threading.Lock()) as writer:
+        # a writer still waiting for bytes is killed, so that the close
+        # raises rather than hangs
+        timer = threading.Timer(60, writer._proc.kill)
+        timer.start()
+        try:
+            with checkpoint.Stream(writer, path) as stream:
+                stream(SimpleNamespace(
+                    n=0, t=0.0, **dict(zip(checkpoint.FIELDS, rows))), None)
+        finally:
+            timer.cancel()
+    assert path.read_text() == checkpoint.format_block(0, 0.0, rows)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the writer's malloc thresholds are glibc's")
+def test_writer_keeps_its_pages(tmp_path):
+    # with glibc's default thresholds the writer hands the ~2 MB of
+    # buffers of each desk block back to the OS and faults them in
+    # again: about 4k minor faults for its numpy import plus about 470
+    # per block, 21k for these 40 blocks (glibc 2.36, x86-64).  With its
+    # thresholds it takes about 5k in all.  The bound is 10k.
+    gen = np.random.default_rng(5)
+    state = SimpleNamespace(t=0.0, **{
+        name: gen.standard_normal(size)  # 13 442 values, a desk block
+        for name, size in zip(checkpoint.FIELDS, (6561, 6561, 160, 160))})
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+    with checkpoint.Writer(threading.Lock()) as writer, \
+            checkpoint.Stream(writer, tmp_path / "c.txt") as stream:
+        for state.n in range(40):
+            stream(state, None)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+    assert faults < 10000, faults
 
 
 def test_cut_stream_keeps_complete_blocks(traj, tmp_path):

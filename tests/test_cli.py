@@ -536,8 +536,23 @@ class TestSelftestAndInfo:
         assert any("diskfem" in m and "FAIL" in m for m in msgs)
 
     def test_selftest_catches_wrong_checkpoint_text(self, monkeypatch):
-        monkeypatch.setattr(checkpoint, "format_row", lambda values: " ".join(
-            "%.16g" % v for v in values))
+        monkeypatch.setattr(checkpoint, "format_block", lambda n, t, rows: (
+            "state %d %.17g\n" % (n, t) + "".join(
+                " ".join("%.16g" % v for v in row) + "\n" for row in rows)))
+        msgs = []
+        assert cli.cmd_selftest(echo=msgs.append) == 1
+        assert any("checkpoint-text" in m and "FAIL" in m for m in msgs)
+
+    def test_selftest_catches_a_misplaced_newline(self, monkeypatch):
+        # the last value of the first row printed at the start of the next
+        block = checkpoint.format_block
+
+        def moved(n, t, rows):
+            head, first, rest = block(n, t, rows).split("\n", 2)
+            start, end = first.rsplit(" ", 1)
+            return "%s\n%s\n%s %s" % (head, start, end, rest)
+
+        monkeypatch.setattr(checkpoint, "format_block", moved)
         msgs = []
         assert cli.cmd_selftest(echo=msgs.append) == 1
         assert any("checkpoint-text" in m and "FAIL" in m for m in msgs)
