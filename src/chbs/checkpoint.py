@@ -337,20 +337,19 @@ class Writer(_Closing):
     """The writer process of one command, shared by all its streams.
 
     The process starts at once, so that its numpy import overlaps the
-    caller's own work.  ``lock``, a ``threading.Lock``, keeps each
-    message on the shared pipe whole when streams are fed from several
-    threads; the caller makes it, so that this file, which the writer
-    process runs, needs no threading.  Use the writer as a context
-    manager, so that the process never outlives the command: leaving it
-    ends the pipe and reaps the process.  A writer that never received a
-    message has nothing to finish and is killed.
+    caller's own work.  A lock keeps each message on the shared pipe
+    whole when streams are fed from several threads.  Use the writer as
+    a context manager, so that the process never outlives the command:
+    leaving it ends the pipe and reaps the process.  A writer that never
+    received a message has nothing to finish and is killed.
     """
 
-    def __init__(self, lock):
+    def __init__(self):
         # only the parent needs these
         import fcntl
         import subprocess
-        self._lock = lock
+        import threading
+        self._lock = threading.Lock()
         self._used = False
         # set while a message is on its way, and left set when sending it
         # failed: a message cut short garbles every later one

@@ -97,8 +97,8 @@ _RANGES = {
 def parse_config(path):
     """Parse a flat key = value config file into a RunConfig.
 
-    Unknown keys, duplicate keys, type mismatches and out-of-range values
-    are errors carrying the offending line number.
+    Unknown keys, duplicate keys, type mismatches, non-finite floats and
+    out-of-range values are errors carrying the offending line number.
     """
     defaults = RunConfig()
     fields = {name: type(getattr(defaults, name))
@@ -134,6 +134,9 @@ def parse_config(path):
             except (KeyError, ValueError):
                 raise ParseError("bad value %r for key %r" % (text, key),
                                  line=lineno) from None
+            if typ is float and not math.isfinite(val):
+                raise ParseError("value %s for %r is not finite"
+                                 % (text, key), line=lineno)
             if key in _RANGES:
                 lo, hi = _RANGES[key]
                 if not lo <= val <= hi:
@@ -242,7 +245,7 @@ def execute_run(cfg, out_dir=None, echo=print):
     """Validate, run and write outputs; returns (exit_code, trajectory)."""
     # the checkpoint writer starts first, so that its numpy import
     # overlaps the mesh, the assembly and the first steps
-    with checkpoint.Writer(threading.Lock()) as writer:
+    with checkpoint.Writer() as writer:
         try:
             mesh = build_mesh(cfg)
         except ParseError as exc:
@@ -402,7 +405,7 @@ def cmd_sweep(cfg, axis, ladder, workers=1, echo=print):
     from concurrent.futures import ThreadPoolExecutor
     # every member's checkpoints go through one writer, started before
     # the assembly so that its numpy import overlaps it
-    with checkpoint.Writer(threading.Lock()) as writer:
+    with checkpoint.Writer() as writer:
         # the sweep axes (h, eps, viscosities) never change the mesh, so
         # all members and the post-processing share one set of operators
         ops = diskfem.assemble(build_mesh(cfg))
@@ -456,8 +459,8 @@ def cmd_sweep(cfg, axis, ladder, workers=1, echo=print):
                                                    trajs, dists + [None]):
             cells = [None] * 5
             if traj is not None:
-                cells[0] = abs(diskfem.mean_bulk(ops, traj.states[-1].phi)
-                               - diskfem.mean_bulk(ops, traj.states[0].phi))
+                cells[0] = abs(diskfem.mean(ops.bulk, traj.states[-1].phi)
+                               - diskfem.mean(ops.bulk, traj.states[0].phi))
                 if axis == "eps":
                     cells[1] = diagnostics.obstacle_violation(traj).max
                     cells[2] = diagnostics.apriori_monitor(

@@ -2,7 +2,9 @@
 
 Everything here is a read-only consumer of trajectories.  The potential
 terms of the energy use the lumped mass weights (the integral of the
-nodal interpolant); gradient terms use the consistent stiffness.
+nodal interpolant); gradient terms use the consistent stiffness.  Each
+diagnostic loops over :func:`sides`; the per-state quantities read each
+side's value field in one pass (:func:`_energies`).
 """
 
 import math
@@ -12,6 +14,29 @@ import numpy as np
 
 from . import diskfem, graphs, stepper
 from .errors import GridMismatch, MeanMismatch
+
+
+def _energies(state, pair, ops, eps):
+    """The true and the regularized energy of ``state`` (None without
+    ``eps``; ``eps * rho`` on the boundary) and the H1 norm of each side's
+    value field v, read in one pass per side: one stiffness product, one
+    mass product and one perturbation primitive."""
+    grad, pot, pot_eps, h1 = [], [], [], []
+    for (part, val, _), graph, pi, scale in zip(
+            sides(ops), (pair.bulk, pair.boundary),
+            (pair.bulk_pi, pair.boundary_pi), (1.0, pair.rho)):
+        v = getattr(state, val)
+        vKv = float(v @ (part.K @ v))
+        p = pi.primitive(v)
+        grad.append(0.5 * vKv)
+        pot.append(float(part.lumped @ (graph.primitive(v) + p)))
+        if eps is not None:
+            pot_eps.append(float(part.lumped @ (
+                graphs.moreau_envelope(graph, eps * scale, v) + p)))
+        h1.append(math.sqrt(max(float(v @ (part.M @ v)) + vKv, 0.0)))
+    # this summation order keeps the printed energies bit-stable
+    e_eps = grad[0] + grad[1] + pot_eps[0] + pot_eps[1] if pot_eps else None
+    return grad[0] + grad[1] + pot[0] + pot[1], e_eps, h1
 
 
 def energy(state, pair, ops, mode="true", eps=None):
@@ -26,22 +51,14 @@ def energy(state, pair, ops, mode="true", eps=None):
         raise ValueError("regularized energy needs eps")
     if mode not in ("true", "regularized"):
         raise ValueError("mode must be 'true' or 'regularized'")
-    grad, pot = [], []
-    for part, v, graph, pi, eps_eff in (
-            (ops.bulk, state.phi, pair.bulk, pair.bulk_pi, eps),
-            (ops.bdry, state.psi, pair.boundary, pair.boundary_pi,
-             None if eps is None else eps * pair.rho)):
-        conv = (graph.primitive(v) if mode == "true"
-                else graphs.moreau_envelope(graph, eps_eff, v))
-        grad.append(0.5 * float(v @ (part.K @ v)))
-        pot.append(float(part.lumped @ (conv + pi.primitive(v))))
-    # this summation order keeps the printed energies bit-stable
-    return grad[0] + grad[1] + pot[0] + pot[1]
+    if mode == "true":
+        return _energies(state, pair, ops, None)[0]
+    return _energies(state, pair, ops, eps)[1]
 
 
 def _lyapunov(e_eps, state, h, ops):
-    mu2 = float(state.mu @ (ops.M_bulk @ state.mu))
-    w2 = float(state.w @ (ops.M_bdry @ state.w))
+    mu2 = float(state.mu @ (ops.bulk.M @ state.mu))
+    w2 = float(state.w @ (ops.bdry.M @ state.w))
     return e_eps + 0.5 * h * mu2 + 0.5 * h * w2
 
 
@@ -73,19 +90,13 @@ class DiagRecord:
 
 def make_record(state, report, pair, params, ops):
     """Build the diagnostics row for one state."""
-    e_eps = energy(state, pair, ops, mode="regularized", eps=params.eps)
-    return DiagRecord(
-        n=state.n,
-        t=state.t,
-        energy_true=energy(state, pair, ops, mode="true"),
-        energy_eps=e_eps,
-        lyapunov=_lyapunov(e_eps, state, params.h, ops),
-        mass_bulk_aug=diskfem.mean_bulk(ops, state.phi + params.h * state.mu),
-        mass_bdry_aug=diskfem.mean_bdry(ops, state.psi + params.h * state.w),
-        phi_h1=diskfem.norms_bulk(ops, state.phi)["h1"],
-        psi_h1=diskfem.norms_bdry(ops, state.psi)["h1"],
-        newton_iters=0 if report is None else report.newton_iters,
-    )
+    e_true, e_eps, h1 = _energies(state, pair, ops, params.eps)
+    masses = [diskfem.mean(part, getattr(state, val)
+                           + params.h * getattr(state, pot))
+              for part, val, pot in sides(ops)]
+    return DiagRecord(state.n, state.t, e_true, e_eps,
+                      _lyapunov(e_eps, state, params.h, ops), *masses, *h1,
+                      0 if report is None else report.newton_iters)
 
 
 # the run.csv columns are DiagRecord's fields, in order
@@ -320,8 +331,8 @@ def interpolant_gap_identity(traj, ops):
             t = (n + xi) * h
             vals = stepper.interpolants(traj, t)
             gap = vals["hat"]["phi"] - vals["bar"]["phi"]
-            lhs += 0.5 * h * float(gap @ (ops.M_bulk @ gap))
+            lhs += 0.5 * h * float(gap @ (ops.bulk.M @ gap))
         d = traj.states[n + 1].phi - traj.states[n].phi
-        rhs += float(d @ (ops.M_bulk @ d)) / h
+        rhs += float(d @ (ops.bulk.M @ d)) / h
     rhs *= h * h / 3.0
     return lhs, rhs

@@ -218,8 +218,7 @@ class DiscreteOperators:
         self.bulk = Part("bulk", M_bulk, K_bulk)
         self.bdry = Part("boundary", M_bdry, K_bdry)
 
-    # single-matrix names for the stepper's blocks and external callers
-    M_bulk = property(lambda self: self.bulk.M)
+    # per-side aliases, read only by the benchmark in perfbench/
     K_bulk = property(lambda self: self.bulk.K)
     M_bdry = property(lambda self: self.bdry.M)
     K_bdry = property(lambda self: self.bdry.K)
@@ -329,13 +328,12 @@ def mean(part, v):
     return float(part.lumped @ v) / part.measure
 
 
+# per-side aliases of mean, read only by the benchmark in perfbench/
 def mean_bulk(ops, v):
-    """Integral mean over the disk."""
     return mean(ops.bulk, v)
 
 
 def mean_bdry(ops, v_bdry):
-    """Integral mean over the boundary curve."""
     return mean(ops.bdry, v_bdry)
 
 
@@ -378,13 +376,3 @@ def norms(part, v):
     return {"l2": math.sqrt(max(l2sq, 0.0)),
             "h1_semi": math.sqrt(max(h1sq, 0.0)),
             "h1": math.sqrt(max(l2sq + h1sq, 0.0))}
-
-
-def norms_bulk(ops, v):
-    """:func:`norms` of a bulk field."""
-    return norms(ops.bulk, v)
-
-
-def norms_bdry(ops, v_bdry):
-    """:func:`norms` of a boundary field."""
-    return norms(ops.bdry, v_bdry)

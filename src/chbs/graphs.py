@@ -121,16 +121,16 @@ def regular_graph():
 
 
 def log_graph(c1=2.0):
-    """Logarithmic graph on the open interval (-1, 1); requires c1 > 1."""
-    if not c1 > 1.0:
-        raise ValueError("log family needs c1 > 1, got %g" % c1)
+    """Logarithmic graph on the open interval (-1, 1); finite c1 > 1."""
+    if not 1.0 < c1 < math.inf:
+        raise ValueError("log family needs finite c1 > 1, got %g" % c1)
     return MonotoneGraph(LOG, float(c1), -1.0, 1.0, False)
 
 
 def obstacle_graph(c2=1.0):
-    """Indicator subdifferential on the closed interval [-1, 1]; c2 > 0."""
-    if not c2 > 0.0:
-        raise ValueError("obstacle family needs c2 > 0, got %g" % c2)
+    """Indicator subdifferential on the closed [-1, 1]; finite c2 > 0."""
+    if not 0.0 < c2 < math.inf:
+        raise ValueError("obstacle family needs finite c2 > 0, got %g" % c2)
     return MonotoneGraph(OBSTACLE, float(c2), -1.0, 1.0, True)
 
 
@@ -171,10 +171,10 @@ class PotentialPair:
     c0: float = 0.0
 
     def __post_init__(self):
-        if not self.rho > 0.0:
-            raise ValueError("rho must be positive")
-        if self.c0 < 0.0:
-            raise ValueError("c0 must be nonnegative")
+        if not 0.0 < self.rho < math.inf:
+            raise ValueError("rho must be positive and finite")
+        if not 0.0 <= self.c0 < math.inf:
+            raise ValueError("c0 must be nonnegative and finite")
         if self.boundary.lo < self.bulk.lo or self.boundary.hi > self.bulk.hi:
             raise ValueError(
                 "boundary graph domain must be contained in the bulk domain")

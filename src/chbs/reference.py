@@ -69,12 +69,9 @@ def fixed_point_step(state, data, params, ops, fn, gn,
     h, tau, sigma, eps = params.h, params.tau, params.sigma, params.eps
     pair = data.pair
     loop = ops.mesh.boundary_loop
-    nb = ops.M_bulk.shape[0]
-    ng = ops.M_bdry.shape[0]
-    Mb = ops.M_bulk.toarray()
-    Kb = ops.K_bulk.toarray()
-    Mg = ops.M_bdry.toarray()
-    Kg = ops.K_bdry.toarray()
+    Mb, Kb = ops.bulk.M.toarray(), ops.bulk.K.toarray()
+    Mg, Kg = ops.bdry.M.toarray(), ops.bdry.K.toarray()
+    nb, ng = Mb.shape[0], Mg.shape[0]
     T = np.zeros((ng, nb))
     T[np.arange(ng), loop] = 1.0
 

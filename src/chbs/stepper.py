@@ -50,8 +50,8 @@ class SchemeParams:
 
     def check(self):
         bad = []
-        if not self.h > 0.0:
-            bad.append("time step h must be positive")
+        if not 0.0 < self.h < math.inf:
+            bad.append("time step h must be positive and finite")
         if not self.t_final >= self.h:
             bad.append("t_final must be at least one step")
         elif self.h > 0.0:
@@ -66,8 +66,8 @@ class SchemeParams:
             bad.append("tau must lie in [0, 1]")
         if not 0.0 <= self.sigma <= 1.0:
             bad.append("sigma must lie in [0, 1]")
-        if not self.newton_tol > 0.0:
-            bad.append("newton_tol must be positive")
+        if not 0.0 < self.newton_tol < math.inf:
+            bad.append("newton_tol must be positive and finite")
         if not self.newton_max >= 1:
             bad.append("newton_max must be at least 1")
         return bad
@@ -292,13 +292,12 @@ def validate(data, params, ops, strong=False):
     report = ValidationReport(not violations, violations)
     if strong and not violations:
         f0 = source_at(data.f, 0.0, ops.mesh.n_bulk)
-        lap = ops.mass_bulk_solver().solve(ops.K_bulk @ phi0,
-                                           "mass solve")
+        lap = ops.bulk.solver("mass").solve(ops.bulk.K @ phi0, "mass solve")
         norms = []
         for eps in STRONG_EPS_LADDER:
             e = lap + graphs.yosida_bulk(pair.bulk, eps, phi0) \
                 + pair.bulk_pi(phi0) - f0
-            norms.append(diskfem.norms_bulk(ops, e)["h1"])
+            norms.append(diskfem.norms(ops.bulk, e)["h1"])
         report.strong_norms = norms
         if len(norms) >= 2 and norms[-2] > 0.0:
             report.strong_plateau = (norms[-1] - norms[-2]) <= 0.1 * norms[-2]
@@ -531,8 +530,8 @@ class _StepWorkspace:
         h, tau, sigma = params.h, params.tau, params.sigma
         sb = pair.bulk_pi.slope
         sg = pair.boundary_pi.slope
-        Mb, Kb = ops.M_bulk, ops.K_bulk
-        Mg, Kg = ops.M_bdry, ops.K_bdry
+        Mb, Kb = ops.bulk.M, ops.bulk.K
+        Mg, Kg = ops.bdry.M, ops.bdry.K
         self.L = sp.bmat(
             [[Mb / h, Mb + Kb, None],
              [(tau / h + sb) * Mb + Kb
@@ -549,7 +548,7 @@ class _StepWorkspace:
     def load(self, state, fn, gn):
         """b_n: the old level ``state`` and the averaged sources."""
         p = self.params
-        Mb, Mg = self.ops.M_bulk, self.ops.M_bdry
+        Mb, Mg = self.ops.bulk.M, self.ops.bdry.M
         b_mu = Mb @ ((p.tau / p.h) * state.phi + fn)
         b_mu[self.loop] += Mg @ ((p.sigma / p.h) * state.psi + gn)
         return np.concatenate([Mb @ (state.phi / p.h + state.mu), b_mu,
@@ -561,8 +560,8 @@ class _StepWorkspace:
         phi = x[:self.nb]
         r = self.L @ x - b
         r_mu = r[self.nb:2 * self.nb]
-        r_mu += self.ops.M_bulk @ graphs.yosida_bulk(pair.bulk, eps, phi)
-        r_mu[self.loop] += self.ops.M_bdry @ graphs.yosida_boundary(
+        r_mu += self.ops.bulk.M @ graphs.yosida_bulk(pair.bulk, eps, phi)
+        r_mu[self.loop] += self.ops.bdry.M @ graphs.yosida_boundary(
             pair.boundary, eps, pair.rho, phi[self.loop])
         return r, math.sqrt(float(r @ r) / r.size)
 
@@ -579,8 +578,8 @@ class _StepWorkspace:
             ring_means = d_b[1:].reshape(rings, sectors).mean(axis=1)
             d_b = np.concatenate([d_b[:1], np.repeat(ring_means, sectors)])
             d_g = np.full(d_g.shape, d_g.mean())
-        N = self.ops.M_bulk.multiply(d_b[None, :]) \
-            + self.P.T @ self.ops.M_bdry.multiply(d_g[None, :]) @ self.P
+        N = self.ops.bulk.M.multiply(d_b[None, :]) \
+            + self.P.T @ self.ops.bdry.M.multiply(d_g[None, :]) @ self.P
         return self.L + self.E @ N @ self.E_phi.T
 
     def direction(self, phi, r, report):

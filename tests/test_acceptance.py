@@ -88,11 +88,11 @@ def test_criterion_02_mass_conservation(desk_ops):
     data = stepper.problem_data(ops, phi0, pair, f=f, g=g)
     params = stepper.SchemeParams(**DESK)
     traj = cached_run(ops, "random-sourced", data, params)
-    m0 = diskfem.mean_bulk(ops, traj.states[0].phi)
-    mg0 = diskfem.mean_bdry(ops, traj.states[0].psi)
-    drift_b = max(abs(diskfem.mean_bulk(ops, s.phi + params.h * s.mu) - m0)
+    m0 = diskfem.mean(ops.bulk, traj.states[0].phi)
+    mg0 = diskfem.mean(ops.bdry, traj.states[0].psi)
+    drift_b = max(abs(diskfem.mean(ops.bulk, s.phi + params.h * s.mu) - m0)
                   for s in traj.states)
-    drift_g = max(abs(diskfem.mean_bdry(ops, s.psi + params.h * s.w) - mg0)
+    drift_g = max(abs(diskfem.mean(ops.bdry, s.psi + params.h * s.w) - mg0)
                   for s in traj.states)
     assert drift_b <= 1e-9
     assert drift_g <= 1e-9
@@ -196,10 +196,10 @@ def test_criterion_07_eps_relaxation(desk_ops):
     # constant-in-time loads that freeze the profile except for a flat
     # reaction the obstacle must supply on the caps
     fvec = xi + pair.bulk_pi(phi_dag) \
-        + ops.mass_bulk_solver().solve(ops.K_bulk @ phi_dag)
+        + ops.bulk.solver("mass").solve(ops.bulk.K @ phi_dag)
     from scipy.sparse.linalg import splu
     gvec = xi_g + pair.boundary_pi(psi_dag) \
-        + splu(ops.M_bdry.tocsc()).solve(ops.K_bdry @ psi_dag)
+        + splu(ops.bdry.M.tocsc()).solve(ops.bdry.K @ psi_dag)
     viols = []
     monitor_max = []
     counts = []

@@ -19,7 +19,7 @@ from chbs.errors import ParseError
 # what the writer process may import: it starts with -I -S, and finds
 # numpy in the directory of the parent's numpy
 WRITER_IMPORTS = {"fcntl", "numpy", "os", "signal", "struct", "subprocess",
-                  "sys"}
+                  "sys", "threading"}
 
 
 def printf(values):
@@ -199,7 +199,7 @@ def test_rows_of_other_types_are_sent_as_float64(tmp_path):
             np.linspace(-1, 1, 40, dtype=np.float32),
             np.arange(3), [0.5, 2]]
     path = tmp_path / "checkpoints.txt"
-    with checkpoint.Writer(threading.Lock()) as writer:
+    with checkpoint.Writer() as writer:
         # a writer still waiting for bytes is killed, so that the close
         # raises rather than hangs
         timer = threading.Timer(60, writer._proc.kill)
@@ -226,7 +226,7 @@ def test_writer_keeps_its_pages(tmp_path):
         name: gen.standard_normal(size)  # 13 442 values, a desk block
         for name, size in zip(checkpoint.FIELDS, (6561, 6561, 160, 160))})
     before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
-    with checkpoint.Writer(threading.Lock()) as writer, \
+    with checkpoint.Writer() as writer, \
             checkpoint.Stream(writer, tmp_path / "c.txt") as stream:
         for state.n in range(40):
             stream(state, None)
@@ -290,7 +290,7 @@ def test_run_that_raises_leaves_the_blocks_before(tiny_ops, tmp_path):
 
     path = tmp_path / "checkpoints.txt"
     with pytest.raises(RuntimeError):
-        with checkpoint.Writer(threading.Lock()) as writer, \
+        with checkpoint.Writer() as writer, \
                 checkpoint.Stream(writer, path) as stream:
             stepper.run(data, params, tiny_ops, hooks=(stream, crash))
     assert path.read_text() == saved_text(tmp_path, seen)
@@ -322,7 +322,7 @@ def test_threads_sharing_a_writer_each_get_their_own_file(tmp_path):
     try:
         # the writer's exit status reports the failed file too
         with pytest.raises(OSError, match="exited with status 1"), \
-                checkpoint.Writer(threading.Lock()) as writer:
+                checkpoint.Writer() as writer:
             threads = [threading.Thread(target=feed, args=(writer, path))
                        for path in paths]
             for thread in threads:

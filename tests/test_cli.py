@@ -81,6 +81,21 @@ class TestParseConfig:
         with pytest.raises(ParseError):
             cli.parse_config(path)
 
+    @pytest.mark.parametrize("text", ("inf", "-inf", "nan"))
+    @pytest.mark.parametrize("key", [
+        k for k, v in vars(cli.RunConfig()).items() if type(v) is float])
+    def test_non_finite_float_exit_2(self, tmp_path, capsys, key, text):
+        lines = [line for line in TINY.splitlines()
+                 if not line.startswith(key + " ")]
+        body = "\n".join(lines + ["%s = %s" % (key, text), ""])
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", write_config(tmp_path, body),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "line %d: value %s for %r is not finite" \
+            % (len(lines) + 1, text, key) in err
+        assert not out.exists()
+
 
 class TestGenerators:
     def test_xorshift_reproducible_and_in_range(self):

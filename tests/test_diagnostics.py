@@ -212,13 +212,13 @@ class TestContDep:
         r2 = (small_ops.mesh.vertices ** 2).sum(axis=1)
         inner = r2 < 0.4
         bump[inner] = 1e-2 * (0.4 - r2[inner])
-        bump -= diskfem.mean_bulk(small_ops, bump)
+        bump -= diskfem.mean(small_ops.bulk, bump)
         # keep the boundary untouched: shift interior nodes only
         loop = small_ops.mesh.boundary_loop
         bump[loop] = 0.0
-        bump -= diskfem.mean_bulk(small_ops, bump)
+        bump -= diskfem.mean(small_ops.bulk, bump)
         bump[loop] = 0.0
-        corr = diskfem.mean_bulk(small_ops, bump)
+        corr = diskfem.mean(small_ops.bulk, bump)
         interior = np.ones_like(bump, dtype=bool)
         interior[loop] = False
         bump[interior] -= corr * small_ops.bulk.measure / float(
@@ -237,7 +237,7 @@ class TestContDep:
         pair = graphs.preset_pair("regular")
         phiA = np.zeros(tiny_ops.mesh.n_bulk)
         x = tiny_ops.mesh.vertices[:, 0]
-        phiB = 1e-3 * (x - diskfem.mean_bulk(tiny_ops, x))
+        phiB = 1e-3 * (x - diskfem.mean(tiny_ops.bulk, x))
         p_full = stepper.SchemeParams(h=1e-3, t_final=8e-3, tau=0.1,
                                       sigma=0.1, eps=0.5)
         p_half = stepper.SchemeParams(h=1e-3, t_final=8e-3, tau=0.1,
@@ -354,3 +354,102 @@ class TestCsv:
         assert max(vals) - min(vals) < 1e-9
         valsg = [r.mass_bdry_aug for r in records]
         assert max(valsg) - min(valsg) < 1e-9
+
+
+def record_state(ops, kind, seed=3):
+    """A state with nonzero potentials; obstacle values leave [-1, 1] on
+    both sides, log values stay inside (-1, 1)."""
+    gen = np.random.default_rng(seed)
+    amp = 0.9 if kind == "log" else 1.3
+    phi = amp * gen.uniform(-1.0, 1.0, ops.mesh.n_bulk)
+    if kind == "obstacle":
+        phi[0] = -1.25                           # the center, a bulk node
+        phi[ops.mesh.boundary_loop[0]] = 1.2
+    return stepper.SchemeState(3, 0.03, phi,
+                               gen.uniform(-2.0, 2.0, ops.mesh.n_bulk),
+                               diskfem.trace(ops, phi),
+                               gen.uniform(-2.0, 2.0, ops.mesh.n_bdry))
+
+
+class TestMakeRecord:
+    @pytest.mark.parametrize("kind", ("regular", "log", "obstacle"))
+    def test_fields_are_the_printed_sums(self, tiny_ops, kind):
+        # run.csv stays byte-identical only while each field is this sum,
+        # in this order, of these M, K and lumped products; a reordered
+        # sum changes the last bit for some of the ten states
+        ops = tiny_ops
+        pair = graphs.preset_pair(kind, rho=2.0)
+        params = stepper.SchemeParams(h=1e-2, t_final=3e-2, eps=0.3)
+        h, eps = params.h, params.eps
+        Mb, Kb, lb = ops.bulk.M, ops.bulk.K, ops.bulk.lumped
+        Mg, Kg, lg = ops.bdry.M, ops.bdry.K, ops.bdry.lumped
+        report = stepper.StepReport(newton_iters=4)
+        for seed in range(10):
+            state = record_state(ops, kind, seed)
+            phi, mu, psi, w = state.phi, state.mu, state.psi, state.w
+            grad = 0.5 * float(phi @ (Kb @ phi)) \
+                + 0.5 * float(psi @ (Kg @ psi))
+            pi_b = pair.bulk_pi.primitive(phi)
+            pi_g = pair.boundary_pi.primitive(psi)
+            e_true = grad + float(lb @ (pair.bulk.primitive(phi) + pi_b)) \
+                + float(lg @ (pair.boundary.primitive(psi) + pi_g))
+            e_eps = grad \
+                + float(lb @ (graphs.moreau_envelope(pair.bulk, eps, phi)
+                              + pi_b)) \
+                + float(lg @ (graphs.moreau_envelope(pair.boundary,
+                                                     eps * pair.rho, psi)
+                              + pi_g))
+            lyap = e_eps + 0.5 * h * float(mu @ (Mb @ mu)) \
+                + 0.5 * h * float(w @ (Mg @ w))
+            want = (3, 0.03, e_true, e_eps, lyap,
+                    float(lb @ (phi + h * mu)) / ops.bulk.measure,
+                    float(lg @ (psi + h * w)) / ops.bdry.measure,
+                    math.sqrt(float(phi @ (Mb @ phi))
+                              + float(phi @ (Kb @ phi))),
+                    math.sqrt(float(psi @ (Mg @ psi))
+                              + float(psi @ (Kg @ psi))),
+                    4)
+            rec = diagnostics.make_record(state, report, pair, params, ops)
+            assert dataclasses.astuple(rec) == want, seed
+            assert math.isinf(rec.energy_true) == (kind == "obstacle")
+            assert all(math.isfinite(v) for v in want[3:])
+            # the public readers sum the same terms
+            assert diagnostics.energy(state, pair, ops) == e_true
+            assert diagnostics.energy(state, pair, ops, mode="regularized",
+                                      eps=eps) == e_eps
+            assert diagnostics.lyapunov(state, pair, eps, h, ops) == lyap
+
+    def test_one_stiffness_product_and_primitive_per_side(self,
+                                                          monkeypatch):
+        ops = diskfem.assemble(diskfem.gen_disk_mesh(2, 8))
+        pair = graphs.preset_pair("log")
+        params = stepper.SchemeParams(h=1e-2, t_final=3e-2, eps=0.3)
+        state = record_state(ops, "log")
+        want = diagnostics.make_record(state, None, pair, params, ops)
+
+        class Counted:
+            def __init__(self, A):
+                self.A, self.calls = A, 0
+
+            def __matmul__(self, v):
+                self.calls += 1
+                return self.A @ v
+
+        for part in (ops.bulk, ops.bdry):
+            part.K, part.M = Counted(part.K), Counted(part.M)
+        primitives = []
+        plain = graphs.Perturbation.primitive
+
+        def counted(pi, r):
+            primitives.append(r)
+            return plain(pi, r)
+
+        monkeypatch.setattr(graphs.Perturbation, "primitive", counted)
+        assert diagnostics.make_record(state, None, pair, params,
+                                       ops) == want
+        # a stiffness product and a perturbation primitive per side; mass
+        # products of the value field (H1 norm) and the potential
+        # (Lyapunov value)
+        assert [(p.K.calls, p.M.calls) for p in (ops.bulk, ops.bdry)] \
+            == [(1, 2), (1, 2)]
+        assert len(primitives) == 2

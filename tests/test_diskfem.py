@@ -1,4 +1,6 @@
+import ast
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -118,28 +120,28 @@ class TestAssembly:
     def test_stiffness_kernels(self, small_ops):
         nb = small_ops.mesh.n_bulk
         ng = small_ops.mesh.n_bdry
-        assert np.abs(small_ops.K_bulk @ np.ones(nb)).max() < 1e-12
-        assert np.abs(small_ops.K_bdry @ np.ones(ng)).max() < 1e-12
-        assert np.abs(np.ones(nb) @ small_ops.K_bulk).max() < 1e-12
+        assert np.abs(small_ops.bulk.K @ np.ones(nb)).max() < 1e-12
+        assert np.abs(small_ops.bdry.K @ np.ones(ng)).max() < 1e-12
+        assert np.abs(np.ones(nb) @ small_ops.bulk.K).max() < 1e-12
 
     def test_measures(self, desk_ops):
         one_b = np.ones(desk_ops.mesh.n_bulk)
         one_g = np.ones(desk_ops.mesh.n_bdry)
-        assert float(one_b @ (desk_ops.M_bulk @ one_b)) == pytest.approx(
+        assert float(one_b @ (desk_ops.bulk.M @ one_b)) == pytest.approx(
             desk_ops.mesh.area(), rel=1e-12)
         # chord-length oracle for the boundary mass
         chords = float(desk_ops.mesh.boundary_lengths().sum())
-        assert float(one_g @ (desk_ops.M_bdry @ one_g)) == pytest.approx(
+        assert float(one_g @ (desk_ops.bdry.M @ one_g)) == pytest.approx(
             chords, rel=1e-12)
         assert abs(chords - 2 * math.pi) < 1e-3
 
     def test_linear_field_energy_is_area(self, desk_ops):
         x = desk_ops.mesh.vertices[:, 0]
-        assert float(x @ (desk_ops.K_bulk @ x)) == pytest.approx(
+        assert float(x @ (desk_ops.bulk.K @ x)) == pytest.approx(
             desk_ops.mesh.area(), rel=1e-12)
 
     def test_boundary_stiffness_is_circulant(self, small_ops):
-        K = small_ops.K_bdry.toarray()
+        K = small_ops.bdry.K.toarray()
         ng = small_ops.mesh.n_bdry
         ell = small_ops.mesh.boundary_lengths()
         assert np.allclose(ell, ell[0])
@@ -303,3 +305,49 @@ class TestNorms:
             c2 = max_ratio(part, 202)
             assert c1 <= 1.25 * c2, part.name
             assert c2 <= 1.25 * c1, part.name
+
+
+# per-side aliases kept only while the benchmark in perfbench/ reads them
+KEPT_ALIASES = {"mean_bulk", "mean_bdry", "K_bulk", "M_bdry", "K_bdry",
+                "mass_bulk_solver"}
+DELETED_ALIASES = {"norms_bulk", "norms_bdry", "M_bulk"}
+
+
+def names_read(directory):
+    """Module file name -> the attribute, variable and imported names its
+    code reads."""
+    out = {}
+    for name in sorted(os.listdir(directory)):
+        if name.endswith(".py"):
+            with open(os.path.join(directory, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            out[name] = {getattr(node, "attr", getattr(node, "id", None))
+                         for node in ast.walk(tree)
+                         if isinstance(node, (ast.Attribute, ast.Name))} \
+                | {a.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) for a in node.names}
+    return out
+
+
+class TestPerSideAliases:
+    def test_only_diskfem_and_the_benchmark_read_them(self):
+        aliases = KEPT_ALIASES | DELETED_ALIASES
+        program = names_read(os.path.dirname(diskfem.__file__))
+        assert {name: used & aliases for name, used in program.items()
+                if name != "diskfem.py" and used & aliases} == {}
+        bench = os.path.join(os.path.dirname(__file__), os.pardir,
+                             "perfbench")
+        assert set().union(*names_read(bench).values()) & aliases \
+            == KEPT_ALIASES
+
+    def test_kept_aliases_are_the_generic_forms(self, small_ops, rng):
+        ops = small_ops
+        v = rng.standard_normal(ops.mesh.n_bulk)
+        vg = rng.standard_normal(ops.mesh.n_bdry)
+        assert diskfem.mean_bulk(ops, v) == diskfem.mean(ops.bulk, v)
+        assert diskfem.mean_bdry(ops, vg) == diskfem.mean(ops.bdry, vg)
+        assert ops.K_bulk is ops.bulk.K
+        assert ops.M_bdry is ops.bdry.M and ops.K_bdry is ops.bdry.K
+        assert ops.mass_bulk_solver() is ops.bulk.solver("mass")
+        for name in DELETED_ALIASES:
+            assert not hasattr(diskfem, name) and not hasattr(ops, name)

@@ -261,3 +261,13 @@ class TestCompatibility:
     def test_domain_inclusion_enforced(self):
         with pytest.raises(ValueError):
             graphs.mixed_pair("log", "regular")
+
+    @pytest.mark.parametrize("value", (math.inf, math.nan))
+    @pytest.mark.parametrize("build", (
+        graphs.log_graph, graphs.obstacle_graph,
+        lambda x: graphs.preset_pair("regular", rho=x),
+        lambda x: graphs.preset_pair("regular", c0=x)),
+        ids=("c1", "c2", "rho", "c0"))
+    def test_non_finite_constants_rejected(self, build, value):
+        with pytest.raises(ValueError):
+            build(value)

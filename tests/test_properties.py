@@ -63,7 +63,7 @@ def test_cont_dep_frozen_pair_closed_form(tiny_ops):
     # time-constant differences make every metric term a closed form
     pair = graphs.preset_pair("regular")
     x = tiny_ops.mesh.vertices[:, 0]
-    d = 1e-2 * (x - diskfem.mean_bulk(tiny_ops, x))
+    d = 1e-2 * (x - diskfem.mean(tiny_ops.bulk, x))
     phiA = np.zeros(tiny_ops.mesh.n_bulk)
     params = stepper.SchemeParams(h=1e-3, t_final=5e-3, tau=0.1, sigma=0.1,
                                   eps=0.5)

@@ -33,9 +33,9 @@ def pinned_obstacle_problem(ops, eps=0.05, t_final=2e-3, seed=2):
         x <= -0.2, -1.0, np.sin(0.5 * np.pi * x / 0.2)))
     xi = np.where(x >= 0.2, 1.0, np.where(x <= -0.2, -1.0, 0.0))
     f = xi + pair.bulk_pi(phi_dag) \
-        + ops.mass_bulk_solver().solve(ops.K_bulk @ phi_dag)
+        + ops.bulk.solver("mass").solve(ops.bulk.K @ phi_dag)
     g = xi[loop] + pair.boundary_pi(phi_dag[loop]) \
-        + splu(ops.M_bdry.tocsc()).solve(ops.K_bdry @ phi_dag[loop])
+        + splu(ops.bdry.M.tocsc()).solve(ops.bdry.K @ phi_dag[loop])
     noise = 2.0 * cli.xorshift64_uniform(seed, ops.mesh.n_bulk) - 1.0
     phi0 = np.clip(phi_dag + 0.01 * noise, -1.0, 1.0)
     params = stepper.SchemeParams(h=1e-3, t_final=t_final, eps=eps)
@@ -188,10 +188,13 @@ class TestValidate:
         assert len(rep.violations) >= 2
         for bad in (dict(newton_max=0), dict(newton_max=-3),
                     dict(newton_tol=0.0), dict(newton_tol=-1e-10),
-                    dict(newton_tol=math.nan)):
+                    dict(newton_tol=math.nan), dict(newton_tol=math.inf)):
             params = stepper.SchemeParams(h=1e-3, t_final=1e-2, **bad)
             rep = stepper.validate(data, params, tiny_ops)
             assert [v.split()[0] for v in rep.violations] == list(bad), bad
+        params = stepper.SchemeParams(h=math.inf, t_final=math.inf)
+        assert "time step h must be positive and finite" \
+            in stepper.validate(data, params, tiny_ops).violations
 
     @pytest.mark.parametrize("which", ("f", "g"))
     @pytest.mark.parametrize("defect", ("nan", "inf", "short",
@@ -331,14 +334,14 @@ class TestSolveStep:
                                         newton_tol=tol)
             state = stepper.initial_state(data, tiny_ops)
             h = params.h
-            m0 = diskfem.mean_bulk(tiny_ops, state.phi + h * state.mu)
-            mg0 = diskfem.mean_bdry(tiny_ops, state.psi + h * state.w)
+            m0 = diskfem.mean(tiny_ops.bulk, state.phi + h * state.mu)
+            mg0 = diskfem.mean(tiny_ops.bdry, state.psi + h * state.w)
             for _ in range(3):
                 state, _ = stepper.solve_step(state, data, params, tiny_ops)
-                assert abs(diskfem.mean_bulk(
-                    tiny_ops, state.phi + h * state.mu) - m0) < 1e-13
-                assert abs(diskfem.mean_bdry(
-                    tiny_ops, state.psi + h * state.w) - mg0) < 1e-13
+                assert abs(diskfem.mean(
+                    tiny_ops.bulk, state.phi + h * state.mu) - m0) < 1e-13
+                assert abs(diskfem.mean(
+                    tiny_ops.bdry, state.psi + h * state.w) - mg0) < 1e-13
 
     def test_trace_consistency(self, tiny_ops):
         data, params = tiny_problem(tiny_ops)
