@@ -205,13 +205,6 @@ def _print(values, sizes):
     return out.T.tobytes().translate(None, b"\0")
 
 
-def format_row(values):
-    """``" ".join("%.17g" % v for v in values)`` for float64 ``values``,
-    by the kernel that prints blocks."""
-    x = np.asarray(values, dtype=np.float64).ravel()
-    return _print(x, [x.size])[:-1].decode("ascii")
-
-
 def print_block(n, t, values, sizes):
     """The bytes of one block: ``state n t``, then the float64 ``values``
     cut into rows of ``sizes``, one line each, in one kernel call."""
@@ -447,12 +440,8 @@ class Stream(_Closing):
             self.writer.finish(self.path)
 
 
-def main(argv):
-    """Writer process: messages from stdin, answers to closes on stdout."""
-    return serve(sys.stdin.buffer, sys.stdout.buffer)
-
-
 if __name__ == "__main__":
-    # every file is closed and every answer flushed by now; os._exit
-    # skips the interpreter's teardown, which takes longer than a block
-    os._exit(main(sys.argv))
+    # messages from stdin, answers to closes on stdout.  Every file is
+    # closed and every answer flushed by the return; os._exit skips the
+    # interpreter's teardown, which takes longer than a block
+    os._exit(serve(sys.stdin.buffer, sys.stdout.buffer))

@@ -796,21 +796,6 @@ def interpolants(traj, t):
     return {"hat": hat, "bar": bar}
 
 
-def save_trajectory(traj, path, stride=1):
-    """Write the text checkpoint format, one block per recorded state.
-
-    ``cli`` streams the same blocks during a run with
-    :class:`chbs.checkpoint.Stream`; both print them with
-    :func:`chbs.checkpoint.format_block`.
-    """
-    with open(path, "w", encoding="utf-8") as fh:
-        for state in traj.states:
-            if state.n % stride == 0:
-                fh.write(checkpoint.format_block(
-                    state.n, state.t,
-                    [getattr(state, name) for name in checkpoint.FIELDS]))
-
-
 def load_states(path):
     """Read a checkpoint file back into a list of states.
 
@@ -823,21 +808,23 @@ def load_states(path):
     if text and not text.endswith("\n"):
         raise ParseError("checkpoint file ends inside a line")
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    size = 1 + len(checkpoint.FIELDS)  # the head line and one per field
     i = 0
     while i < len(lines):
         head = lines[i].split()
-        if head[0] != "state" or len(head) != 3 or i + 5 > len(lines):
+        if head[0] != "state" or len(head) != 3 or i + size > len(lines):
             raise ParseError("bad checkpoint block at line %d" % (i + 1))
         try:
             n, t = int(head[1]), float(head[2])
-            rows = [np.array([float(x) for x in lines[i + 1 + j].split()])
-                    for j in range(4)]
+            rows = [np.array([float(x) for x in line.split()])
+                    for line in lines[i + 1:i + size]]
         except ValueError:
             raise ParseError("malformed checkpoint entry near line %d"
                              % (i + 1)) from None
-        if rows[0].size != rows[1].size or rows[2].size != rows[3].size:
+        state = SchemeState(n, t, **dict(zip(checkpoint.FIELDS, rows)))
+        if state.phi.size != state.mu.size or state.psi.size != state.w.size:
             raise ParseError("checkpoint block at line %d has rows of "
                              "unequal length" % (i + 1))
-        states.append(SchemeState(n, t, rows[0], rows[1], rows[2], rows[3]))
-        i += 5
+        states.append(state)
+        i += size
     return states

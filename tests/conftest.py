@@ -3,7 +3,21 @@ import subprocess
 import numpy as np
 import pytest
 
-from chbs import diskfem
+from chbs import checkpoint, diskfem
+
+
+def printf(values):
+    """The oracle of the checkpoint text: Python's own ``%.17g``."""
+    return " ".join("%.17g" % v for v in values)
+
+
+def printf_blocks(states, stride=1):
+    """The checkpoint text of every ``stride``-th of ``states``, printed
+    by ``%.17g`` without the kernel that the writer prints with."""
+    return "".join(
+        "state %d %.17g\n" % (s.n, s.t) + "".join(
+            printf(getattr(s, name)) + "\n" for name in checkpoint.FIELDS)
+        for s in states if s.n % stride == 0)
 
 
 def renumbered(mesh, seed=0):

@@ -15,16 +15,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from chbs import checkpoint, graphs, stepper
 from chbs.errors import ParseError
+from conftest import printf, printf_blocks
 
 # what the writer process may import: it starts with -I -S, and finds
 # numpy in the directory of the parent's numpy
 WRITER_IMPORTS = {"fcntl", "numpy", "os", "signal", "struct", "subprocess",
                   "sys", "threading"}
-
-
-def printf(values):
-    """The oracle of the checkpoint text: Python's own ``%.17g``."""
-    return " ".join("%.17g" % v for v in values)
 
 
 def assert_printf(text, values):
@@ -67,13 +63,6 @@ def rows(state):
     return [getattr(state, name) for name in checkpoint.FIELDS]
 
 
-def saved_text(tmp_path, states):
-    path = tmp_path / "saved.txt"
-    part = stepper.Trajectory(states, [None] * len(states), None, None)
-    stepper.save_trajectory(part, path)
-    return path.read_text()
-
-
 def assert_states_equal(got, want):
     assert [s.n for s in got] == [s.n for s in want]
     for a, b in zip(got, want):
@@ -96,14 +85,23 @@ def test_writer_imports_only_the_allowed_stdlib():
     assert names <= WRITER_IMPORTS, names - WRITER_IMPORTS
 
 
+def one_row(values):
+    """The line that ``format_block`` prints for the one row ``values``."""
+    head, row, end = checkpoint.format_block(0, 0.0, [values]).split("\n")
+    assert (head, end) == ("state 0 0", "")
+    return row
+
+
 class TestFormatRowIsPrintf:
+    """A row of ``format_block``, the writer's kernel, is ``%.17g``."""
+
     @settings(derandomize=True, deadline=None)
     @given(st.lists(st.floats(), max_size=40))
     def test_any_floats(self, values):
         # st.floats() draws NaN, both infinities, both zeros and
         # subnormals too
         row = np.array(values, dtype=np.float64)
-        assert_printf(checkpoint.format_row(row), values)
+        assert_printf(one_row(row), values)
         block = checkpoint.format_block(3, 0.5, [row, row[::-1]])
         head, first, second, end = block.split("\n")
         assert (head, end) == ("state 3 0.5", "")
@@ -112,33 +110,30 @@ class TestFormatRowIsPrintf:
 
     def test_signed_zeros(self):
         values = np.array([0.0, -0.0, 1.5, -0.0, -2.0, 0.0])
-        assert checkpoint.format_row(values) == printf(values) \
+        assert one_row(values) == printf(values) \
             == "0 -0 1.5 -0 -2 0"
 
     def test_random_bit_patterns(self):
         bits = np.random.default_rng(15).integers(
             0, 2 ** 64, 10 ** 5, dtype=np.uint64, endpoint=False)
         values = bits.view(np.float64)
-        assert_printf(checkpoint.format_row(values), values)
+        assert_printf(one_row(values), values)
 
     def test_edge_values(self):
         values = edge_values()
-        assert_printf(checkpoint.format_row(values), values)
-        head, row, end = checkpoint.format_block(0, 0.0, [values]).split("\n")
-        assert (head, end) == ("state 0 0", "")
-        assert_printf(row, values)
+        assert_printf(one_row(values), values)
 
     def test_exact_ties_round_half_even(self):
         values = np.array([1234567890123456.25, 1234567890123456.75])
-        assert checkpoint.format_row(values) == printf(values) \
+        assert one_row(values) == printf(values) \
             == "1234567890123456.2 1234567890123456.8"
 
     def test_rows_and_lists_alike(self, traj):
         for state in traj.states:
             for row in rows(state):
-                assert_printf(checkpoint.format_row(row), row)
-                assert_printf(checkpoint.format_row(row.tolist()), row)
-        assert checkpoint.format_row([]) == printf([]) == ""
+                assert_printf(one_row(row), row)
+                assert_printf(one_row(row.tolist()), row)
+        assert one_row([]) == printf([]) == ""
 
 
 def served(path, blocks):
@@ -247,7 +242,7 @@ def test_cut_stream_keeps_complete_blocks(traj, tmp_path):
                           stdout=subprocess.PIPE, timeout=60)
     assert proc.returncode != 0
     assert proc.stdout == b""  # no close, so no answer
-    assert path.read_text() == saved_text(tmp_path, [first, second])
+    assert path.read_text() == printf_blocks([first, second])
     assert_states_equal(stepper.load_states(path), [first, second])
 
 
@@ -272,7 +267,7 @@ def test_interleaved_files_each_get_their_blocks(traj, tmp_path):
         rest = rest[size:]
     assert answers[:2] == ["", ""] and answers[2] and len(answers) == 3
     for path in paths[:2]:
-        assert path.read_text() == saved_text(tmp_path, states)
+        assert path.read_text() == printf_blocks(states)
 
 
 def test_run_that_raises_leaves_the_blocks_before(tiny_ops, tmp_path):
@@ -293,7 +288,7 @@ def test_run_that_raises_leaves_the_blocks_before(tiny_ops, tmp_path):
         with checkpoint.Writer() as writer, \
                 checkpoint.Stream(writer, path) as stream:
             stepper.run(data, params, tiny_ops, hooks=(stream, crash))
-    assert path.read_text() == saved_text(tmp_path, seen)
+    assert path.read_text() == printf_blocks(seen)
 
 
 def test_threads_sharing_a_writer_each_get_their_own_file(tmp_path):
@@ -335,13 +330,13 @@ def test_threads_sharing_a_writer_each_get_their_own_file(tmp_path):
     assert list(errors) == [tmp_path]
     assert "checkpoint writer for %s: " % tmp_path in str(errors[tmp_path])
     for path in paths[:-1]:
-        assert path.read_text() == saved_text(tmp_path, states[path])
+        assert path.read_text() == printf_blocks(states[path])
 
 
 class TestLoaderRejectsCutFiles:
     def test_every_cut_inside_the_last_block(self, traj, tmp_path):
-        text = saved_text(tmp_path, traj.states)
-        last = len(saved_text(tmp_path, traj.states[-1:]))
+        text = printf_blocks(traj.states)
+        last = len(printf_blocks(traj.states[-1:]))
         path = tmp_path / "cut.txt"
         for cut in range(1, last):
             path.write_text(text[:-cut])

@@ -11,7 +11,7 @@ import pytest
 
 from chbs import checkpoint, cli, diskfem, stepper
 from chbs.errors import ParseError, UnknownKey
-from conftest import renumbered
+from conftest import printf_blocks, renumbered
 
 TINY = """
 mesh_rings = 3
@@ -192,12 +192,10 @@ class TestCmdRun:
                                      echo=lambda *a: None)
         assert code == 3
         assert (out / "run.csv").exists()
-        # exactly the blocks of the states reached, as save_trajectory
-        # writes them
-        stepper.save_trajectory(traj, tmp_path / "saved.txt")
+        # exactly the blocks of the states reached, as %.17g prints them
         assert len(traj.states) == 1
-        assert ((out / "checkpoints.txt").read_bytes()
-                == (tmp_path / "saved.txt").read_bytes())
+        assert ((out / "checkpoints.txt").read_text()
+                == printf_blocks(traj.states))
 
     def test_interrupt_keeps_rows_summary_and_blocks(self, tmp_path,
                                                      monkeypatch):
@@ -250,16 +248,15 @@ class TestCmdRun:
         assert (out / "summary.txt").read_text().splitlines()[-1] \
             == "stopped at step 2: RuntimeError: no more memory"
 
-    def test_streamed_checkpoints_match_save_trajectory(self, tmp_path):
+    def test_streamed_checkpoints_are_printf(self, tmp_path):
         body = TINY + "ic = random(0.3, 7)\nstride = 2\n"
         cfg = cli.parse_config(write_config(tmp_path, body))
         out = tmp_path / "out"
         code, traj = cli.execute_run(cfg, out_dir=str(out),
                                      echo=lambda *a: None)
         assert code == 0
-        stepper.save_trajectory(traj, tmp_path / "saved.txt", stride=2)
-        assert ((out / "checkpoints.txt").read_bytes()
-                == (tmp_path / "saved.txt").read_bytes())
+        assert ((out / "checkpoints.txt").read_text()
+                == printf_blocks(traj.states, stride=2))
 
     def test_unwritable_checkpoint_path_exit_2(self, tmp_path, capfd,
                                                started_processes):
@@ -441,11 +438,9 @@ class TestCmdSweep:
                                "writer for %s: " % bad)
         for i, eps in ((0, 0.4), (1, 0.2)):
             assert trajs[eps].ok
-            saved = tmp_path / ("saved_%d.txt" % i)
-            stepper.save_trajectory(trajs[eps], saved, stride=2)
             member = out / ("member_%02d" % i)
-            assert ((member / "checkpoints.txt").read_bytes()
-                    == saved.read_bytes())
+            assert ((member / "checkpoints.txt").read_text()
+                    == printf_blocks(trajs[eps].states, stride=2))
 
     def test_ctrl_c_stops_the_running_members(self, tmp_path):
         # long enough that no member ends before the interrupt

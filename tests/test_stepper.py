@@ -6,7 +6,8 @@ import pytest
 from scipy import sparse as sp
 from scipy.sparse.linalg import splu
 
-from chbs import cli, diagnostics, diskfem, graphs, reference, stepper
+from chbs import (checkpoint, cli, diagnostics, diskfem, graphs, reference,
+                  stepper)
 from chbs.errors import NewtonFailure, OutOfRange
 from conftest import renumbered
 
@@ -804,25 +805,30 @@ class TestInterpolants:
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+def streamed(tiny_ops, path, stride=1, **params_kw):
+    """Run the tiny problem with its checkpoints streamed to ``path``
+    through the program's writer; returns the trajectory."""
+    data, params = tiny_problem(tiny_ops, **params_kw)
+    with checkpoint.Writer() as writer, \
+            checkpoint.Stream(writer, path, stride) as stream:
+        return stepper.run(data, params, tiny_ops, hooks=(stream,))
+
+
 class TestCheckpoints:
     def test_roundtrip(self, tiny_ops, tmp_path):
-        data, params = tiny_problem(tiny_ops, t_final=3e-3)
-        traj = stepper.run(data, params, tiny_ops)
         path = tmp_path / "states.txt"
-        stepper.save_trajectory(traj, path)
+        traj = streamed(tiny_ops, path, t_final=3e-3)
         back = stepper.load_states(path)
         assert len(back) == len(traj.states)
         for a, b in zip(traj.states, back):
-            assert a.n == b.n
+            assert (a.n, a.t) == (b.n, b.t)
             assert np.array_equal(a.phi, b.phi)
             assert np.array_equal(a.mu, b.mu)
             assert np.array_equal(a.psi, b.psi)
             assert np.array_equal(a.w, b.w)
 
     def test_stride(self, tiny_ops, tmp_path):
-        data, params = tiny_problem(tiny_ops, t_final=6e-3)
-        traj = stepper.run(data, params, tiny_ops)
         path = tmp_path / "states.txt"
-        stepper.save_trajectory(traj, path, stride=2)
+        streamed(tiny_ops, path, stride=2, t_final=6e-3)
         back = stepper.load_states(path)
         assert [s.n for s in back] == [0, 2, 4, 6]
