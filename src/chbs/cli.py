@@ -91,7 +91,9 @@ _RANGES = {
     "ratio_cap": (0.0, math.inf),
     "newton_tol": (1e-300, math.inf),
     "newton_max": (1, math.inf),
+    "stride": (1, math.inf),
 }
+_POTENTIALS = (graphs.REGULAR, graphs.LOG, graphs.OBSTACLE)
 
 
 def parse_config(path):
@@ -137,6 +139,9 @@ def parse_config(path):
             if typ is float and not math.isfinite(val):
                 raise ParseError("value %s for %r is not finite"
                                  % (text, key), line=lineno)
+            if key == "potential" and val not in _POTENTIALS:
+                raise ParseError("unknown potential preset %r" % val,
+                                 line=lineno)
             if key in _RANGES:
                 lo, hi = _RANGES[key]
                 if not lo <= val <= hi:
@@ -144,12 +149,7 @@ def parse_config(path):
                         "value %s for %r outside [%g, %g]"
                         % (text, key, lo, hi), line=lineno)
             values[key] = val
-    cfg = replace(defaults, **values)
-    if cfg.potential not in ("regular", "log", "obstacle"):
-        raise ParseError("unknown potential preset %r" % cfg.potential)
-    if cfg.stride < 1:
-        raise ParseError("stride must be at least 1")
-    return cfg
+    return replace(defaults, **values)
 
 
 def _parse_preset(text):
@@ -377,21 +377,27 @@ def cmd_sweep(cfg, axis, ladder, workers=1, echo=print):
              % (axis, ", ".join(_SWEEP_AXES)))
         return 2
     # "not b < a" rather than "b >= a": NaN compares false
-    if (len(ladder) < 3 or not all(map(math.isfinite, ladder))
+    if (len(ladder) < 3
             or any(not b < a for a, b in zip(ladder, ladder[1:]))):
-        echo("ladder must be finite and strictly decreasing with at least "
-             "3 values")
+        echo("ladder must be strictly decreasing with at least 3 values")
         return 2
     if workers < 1:
         echo("workers must be at least 1")
         return 2
+    members = [replace(cfg, **dict.fromkeys(_SWEEP_AXES[axis], val))
+               for val in ladder]
+    # every member's scheme parameters are checked before the writer
+    # starts; on the h axis this leaves finite positive steps to nest
+    for val, member in zip(ladder, members):
+        bad = build_params(member).check()
+        if bad:
+            echo("ladder value %s: %s" % (val, "; ".join(bad)))
+            return 2
     if axis == "h":
         for a, b in zip(ladder, ladder[1:]):
             if abs(a / b - round(a / b)) > 1e-9:
                 echo("h ladder members must nest (integer ratios)")
                 return 2
-    members = [replace(cfg, **dict.fromkeys(_SWEEP_AXES[axis], val))
-               for val in ladder]
     out_root = cfg.out_dir
     jobs = [(m, os.path.join(out_root, "member_%02d" % i))
             for i, m in enumerate(members)]
@@ -514,7 +520,7 @@ def cmd_contdep(cfg_a, cfg_b, echo=print):
 
 
 def _selftest_graphs():
-    for name in ("regular", "log", "obstacle"):
+    for name in _POTENTIALS:
         pair = graphs.preset_pair(name)
         g = pair.bulk
         pts = np.linspace(-2.5, 2.5, 33)

@@ -28,6 +28,8 @@ _GAUSS3_WEIGHTS = (5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0)
 STRONG_EPS_LADDER = (0.4, 0.2, 0.1, 0.05)
 # smallest line-search step before the Newton solve counts as stagnated
 DAMPING_MIN = 1.0 / 1024.0
+# samples of the compatibility check in the step guard, 0.1-0.6 ms a call
+GUARD_COMPAT_SAMPLES = 401
 
 
 @dataclass
@@ -182,20 +184,31 @@ class ValidationReport:
 
 
 def step_guard(params, pair):
-    """Largest step compatible with the monotone-solver theory.
+    """Largest step compatible with the monotone-solver theory, and
+    whether the run lies inside that theory.
 
     The bound is tau / (2 L) in the bulk and sigma / (2 L_Gamma) on the
-    boundary; with vanishing viscosity the bound is unsatisfiable.
+    boundary; with vanishing viscosity the bound is unsatisfiable.  The
+    theory also needs the pair to be compatible at the run's eps,
+    |beta_eps| <= rho |beta_{Gamma,eps rho}| + c0, which
+    :func:`chbs.graphs.check_compatibility` samples on two grids of
+    ``GUARD_COMPAT_SAMPLES`` points; a pair that fails it is outside the
+    theory whatever the step.
     """
     L, Lg = pair.lipschitz_bulk, pair.lipschitz_boundary
     term_b = math.inf if L == 0.0 else params.tau / (2.0 * L)
     term_g = math.inf if Lg == 0.0 else params.sigma / (2.0 * Lg)
     h_max = min(term_b, term_g)
+    reasons = []
     if params.tau == 0.0 or params.sigma == 0.0:
-        return GuardReport(h_max, False,
-                           "outside discrete well-posedness theory")
-    ok = params.h < h_max
-    return GuardReport(h_max, ok, "" if ok else "step exceeds h_max")
+        reasons.append("outside discrete well-posedness theory")
+    elif not params.h < h_max:
+        reasons.append("step exceeds h_max")
+    compat = graphs.check_compatibility(pair, params.eps,
+                                        GUARD_COMPAT_SAMPLES)
+    if not compat.ok:
+        reasons.append(str(compat))
+    return GuardReport(h_max, not reasons, "; ".join(reasons))
 
 
 def average_source(source, n, h, size):

@@ -179,31 +179,43 @@ def test_criterion_06_h_convergence(desk_ops):
            "(integral)" % (contraction, d1.l2v / d2.l2v))
 
 
-def test_criterion_07_eps_relaxation(desk_ops):
-    ops = desk_ops
-    pair = graphs.preset_pair("obstacle")  # c2 = 1
+# the flat reaction the obstacle supplies on the caps of the criterion-7
+# data
+XI0 = 1.0
+
+
+def pinned_obstacle_data(ops, pair):
+    """Criterion-7 data: ``(phi_dag, f, g)``, a profile pinned at the
+    obstacle on both caps with a smooth odd bridge, and constant-in-time
+    loads that freeze it except for the flat reaction ``XI0`` the
+    obstacle must supply on the caps."""
     xy = ops.mesh.vertices
     x = xy[:, 0]
     W = 0.2
-    # profile pinned at the obstacle on both caps, smooth odd bridge
     phi_dag = np.where(x >= W, 1.0,
                        np.where(x <= -W, -1.0, np.sin(0.5 * np.pi * x / W)))
     psi_dag = phi_dag[ops.mesh.boundary_loop]
-    xi0 = 1.0
-    xi = np.where(x >= W, xi0, np.where(x <= -W, -xi0, 0.0))
+    xi = np.where(x >= W, XI0, np.where(x <= -W, -XI0, 0.0))
     xb = xy[ops.mesh.boundary_loop, 0]
-    xi_g = np.where(xb >= W, xi0, np.where(xb <= -W, -xi0, 0.0))
-    # constant-in-time loads that freeze the profile except for a flat
-    # reaction the obstacle must supply on the caps
+    xi_g = np.where(xb >= W, XI0, np.where(xb <= -W, -XI0, 0.0))
     fvec = xi + pair.bulk_pi(phi_dag) \
         + ops.bulk.solver("mass").solve(ops.bulk.K @ phi_dag)
     from scipy.sparse.linalg import splu
     gvec = xi_g + pair.boundary_pi(psi_dag) \
         + splu(ops.bdry.M.tocsc()).solve(ops.bdry.K @ psi_dag)
+    return phi_dag, fvec, gvec
+
+
+def relaxation_runs(ops, eps_ladder):
+    """The criterion-7 data run to t = 0.25 at each eps of the ladder:
+    the obstacle violation, the a-priori monitor's maximum, and the
+    Newton iterations/factorizations, per eps."""
+    pair = graphs.preset_pair("obstacle")  # c2 = 1
+    phi_dag, fvec, gvec = pinned_obstacle_data(ops, pair)
     viols = []
     monitor_max = []
     counts = []
-    for eps in (0.4, 0.2, 0.1, 0.05):
+    for eps in eps_ladder:
         params = stepper.SchemeParams(h=1e-3, t_final=0.25, tau=0.1,
                                       sigma=0.1, eps=eps)
         data = stepper.problem_data(ops, phi_dag, pair, f=fvec, g=gvec)
@@ -216,6 +228,12 @@ def test_criterion_07_eps_relaxation(desk_ops):
         viols.append(diagnostics.obstacle_violation(traj).max)
         monitor_max.append(
             diagnostics.apriori_monitor(traj, pair, params, ops).max_value())
+    return viols, monitor_max, counts
+
+
+def test_criterion_07_eps_relaxation(desk_ops):
+    viols, monitor_max, counts = relaxation_runs(desk_ops,
+                                                 (0.4, 0.2, 0.1, 0.05))
     assert all(b < a for a, b in zip(viols, viols[1:])), viols
     assert viols[-1] <= viols[0] / 4.0
     spread = max(monitor_max) / min(monitor_max)
@@ -224,6 +242,24 @@ def test_criterion_07_eps_relaxation(desk_ops):
            "%.2f; Newton iterations/factorizations %s"
            % (["%.4f" % v for v in viols], viols[0] / viols[-1], spread,
               ", ".join(counts)))
+
+
+def test_regularization_limit_rate(desk_ops):
+    # On the caps the Yosida graph holds phi at 1 + eps XI0 to first
+    # order, so violation / eps tends to XI0 as eps falls (measured
+    # 1.041, 1.020, 1.010).  A regularization off by 20% (1.2 eps in the
+    # Yosida map) reads 1.21-1.26
+    eps_ladder = (0.02, 0.01, 0.005)
+    viols, monitor_max, counts = relaxation_runs(desk_ops, eps_ladder)
+    ratios = [v / eps for v, eps in zip(viols, eps_ladder)]
+    assert all(abs(r - XI0) <= 0.1 * XI0 for r in ratios), ratios
+    gaps = [abs(r - XI0) for r in ratios]
+    assert all(b <= a for a, b in zip(gaps, gaps[1:])), ratios
+    spread = max(monitor_max) / min(monitor_max)
+    assert spread <= 2.0
+    report("regularization limit: violation/eps %s against xi0 = %g, "
+           "monitor spread %.2f; Newton iterations/factorizations %s"
+           % (["%.4f" % r for r in ratios], XI0, spread, ", ".join(counts)))
 
 
 def test_criterion_08_continuous_dependence(desk_ops):

@@ -81,6 +81,21 @@ class TestParseConfig:
         with pytest.raises(ParseError):
             cli.parse_config(path)
 
+    @pytest.mark.parametrize("line,message", (
+        ("stride = 0", "line 3: value 0 for 'stride' outside [1, inf]"),
+        ("potential = foo", "line 3: unknown potential preset 'foo'")),
+        ids=("stride-0", "potential-foo"))
+    def test_error_names_its_line(self, tmp_path, capsys, line, message):
+        path = write_config(tmp_path, "h = 1e-3\n# the next line\n%s\n"
+                            "eps = 0.5\n" % line)
+        with pytest.raises(ParseError) as info:
+            cli.parse_config(path)
+        assert info.value.line == 3
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: %s\n" % message
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", ("inf", "-inf", "nan"))
     @pytest.mark.parametrize("key", [
         k for k, v in vars(cli.RunConfig()).items() if type(v) is float])
@@ -182,6 +197,42 @@ class TestCmdRun:
         strict = dataclasses.replace(cfg, strict_guard=True)
         assert cli.execute_run(strict, out_dir=str(tmp_path / "o2"),
                                echo=lambda *a: None)[0] == 2
+
+    @pytest.mark.parametrize("potential", ("regular", "log"))
+    def test_incompatible_pair_warns_or_refuses(self, tmp_path, potential):
+        # rho = 0.5 breaks |beta_eps| <= rho |beta_{Gamma,eps rho}| + c0
+        path = write_config(tmp_path, TINY + "potential = %s\nrho = 0.5\n"
+                            "ic = random(0.3, 3)\n" % potential)
+        out = tmp_path / "warn"
+        assert cli.main(["run", "--config", path, "--out", str(out)]) == 0
+        lines = (out / "summary.txt").read_text().splitlines()
+        assert lines[1].startswith("warning: step guard violated: h=0.001, "
+                                   "h_max=")
+        assert "(compatibility FAIL: worst margin " in lines[1]
+        assert lines[-1] == "outside_theory=True"
+        out = tmp_path / "strict"
+        assert cli.main(["run", "--config", path, "--out", str(out),
+                         "--strict-guard"]) == 2
+        lines = (out / "summary.txt").read_text().splitlines()
+        assert len(lines) == 2
+        assert "(compatibility FAIL: " in lines[1]
+        assert lines[1].endswith(" [strict]")
+        assert not (out / "checkpoints.txt").exists()
+
+    @pytest.mark.parametrize("potential", ("regular", "log"))
+    @pytest.mark.parametrize("rho", ("1", "2"))
+    def test_compatible_pair_summary_has_no_guard_note(self, tmp_path,
+                                                      potential, rho):
+        path = write_config(tmp_path, TINY + "potential = %s\nrho = %s\n"
+                            "ic = random(0.3, 3)\n" % (potential, rho))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", path, "--out", str(out),
+                         "--strict-guard"]) == 0
+        lines = (out / "summary.txt").read_text().splitlines()
+        assert [line.split("=", 1)[0] for line in lines] == [
+            "config potential", "steps", "fallbacks_total",
+            "backtracks_total", "outside_theory"]
+        assert lines[-1] == "outside_theory=False"
 
     def test_solver_failure_exit_3_with_partial_outputs(self, tmp_path):
         # the first step needs three Newton iterations
@@ -380,8 +431,11 @@ class TestCmdSweep:
         table = (tmp_path / "sweep" / "table.csv").read_text()
         assert "fitted_rate=exact" in table
 
-    def test_ladder_validation(self, tmp_path):
+    def test_ladder_validation(self, tmp_path, started_processes):
         cfg = cli.parse_config(write_config(tmp_path, TINY))
+        out = tmp_path / "sweep"
+        import dataclasses
+        cfg = dataclasses.replace(cfg, out_dir=str(out))
         assert cli.cmd_sweep(cfg, "h", [1e-3, 2e-3, 4e-3],
                              echo=lambda *a: None) == 2
         assert cli.cmd_sweep(cfg, "h", [4e-3, 2e-3],
@@ -395,6 +449,25 @@ class TestCmdSweep:
                        [0.4, 0.2, math.nan], [math.inf, 0.2, 0.1]):
             assert cli.cmd_sweep(cfg, "eps", ladder,
                                  echo=lambda *a: None) == 2
+        # each member's scheme parameters are checked before any runs:
+        # a 0 on the h axis once divided by zero in the nesting check
+        for axis, ladder, value, why in (
+                ("h", [2e-3, 1e-3, 0.0], "0.0",
+                 "time step h must be positive and finite"),
+                ("h", [math.inf, 2e-3, 1e-3], "inf",
+                 "time step h must be positive and finite"),
+                ("eps", [0.2, 0.1, -0.1], "-0.1", "eps must lie in (0, 1]"),
+                ("eps", [math.inf, 0.2, 0.1], "inf",
+                 "eps must lie in (0, 1]"),
+                ("visc", [2.0, 0.2, 0.1], "2.0",
+                 "tau must lie in [0, 1]; sigma must lie in [0, 1]"),
+                ("h", [4e-3, 3e-3, 1e-3], "0.003",
+                 "t_final must be a whole number of steps")):
+            msgs = []
+            assert cli.cmd_sweep(cfg, axis, ladder, echo=msgs.append) == 2
+            assert msgs[0].startswith("ladder value %s: %s" % (value, why))
+        assert not out.exists()
+        assert not started_processes
 
     def test_member_failures_recorded(self, tmp_path):
         body = ("mesh_rings = 3\nmesh_sectors = 12\nic = random(0.3, 3)\n"

@@ -100,6 +100,23 @@ class TestGuard:
                                       sigma=0.1)
         assert not stepper.step_guard(params, pair).ok
 
+    @pytest.mark.parametrize("kind", ("regular", "log"))
+    def test_incompatible_pair_outside_theory(self, kind):
+        # |beta_eps| <= rho |beta_{Gamma,eps rho}| + c0 fails for equal
+        # graphs with rho < 1, whatever the step
+        params = stepper.SchemeParams(h=1e-3, t_final=1e-2, eps=0.1)
+        for rho in (1.0, 2.0):
+            guard = stepper.step_guard(params,
+                                       graphs.preset_pair(kind, rho=rho))
+            assert guard.ok and guard.reason == ""
+        guard = stepper.step_guard(params, graphs.preset_pair(kind, rho=0.5))
+        assert not guard.ok
+        assert guard.reason.startswith("compatibility FAIL")
+        # a step beyond the bound is named too
+        guard = stepper.step_guard(replace(params, h=0.1, t_final=0.1),
+                                   graphs.preset_pair(kind, rho=0.5))
+        assert guard.reason.startswith("step exceeds h_max; compatibility")
+
 
 class TestAverageSource:
     def test_constant_vector(self):
