@@ -302,9 +302,10 @@ def execute_on(cfg, ops, out, writer, echo=print, hooks=()):
     os.makedirs(out, exist_ok=True)
     params = build_params(cfg)
     data = build_problem(cfg, ops)
-    summary = ["config potential=%s mesh=%dx%d h=%.17g t_final=%.17g"
-               % (cfg.potential, cfg.mesh_rings, cfg.mesh_sectors,
-                  cfg.h, cfg.t_final)]
+    mesh_name = cfg.mesh_file or "%dx%d" % (cfg.mesh_rings,
+                                            cfg.mesh_sectors)
+    summary = ["config potential=%s mesh=%s h=%.17g t_final=%.17g"
+               % (cfg.potential, mesh_name, cfg.h, cfg.t_final)]
     reached = [0]  # the step of the last state the run reached
 
     def note(state, report):
@@ -531,7 +532,7 @@ def _selftest_graphs():
                 if abs(j - jb) > 1e-10:
                     return False, "resolvent mismatch %s eps=%g r=%g" \
                         % (name, eps, r)
-            if abs(graphs.yosida_bulk(g, eps, 0.0)) != 0.0:
+            if abs(graphs.yosida(g, eps, 0.0)) != 0.0:
                 return False, "yosida nonzero at origin"
             rep = graphs.check_compatibility(pair, eps, 401)
             if not rep.ok:

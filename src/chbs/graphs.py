@@ -8,6 +8,12 @@ smoothed primitive (inf-convolution envelope).  A bulk graph and a
 boundary graph are combined into a :class:`PotentialPair` together with
 the compatibility constants ``rho`` and ``c0`` that bound the bulk
 minimal section by the boundary one.
+
+The graph maps (:func:`resolvent`, :func:`yosida`, :func:`yosida_prime`,
+:func:`moreau_envelope`) all take ``(graph, eps_eff, r)`` and serve both
+sides: the bulk passes ``eps_eff = eps`` and the boundary ``eps * rho``,
+the scaling that keeps the compatibility bound valid with unchanged
+constants.
 """
 
 import functools
@@ -179,14 +185,6 @@ class PotentialPair:
             raise ValueError(
                 "boundary graph domain must be contained in the bulk domain")
 
-    @property
-    def lipschitz_bulk(self):
-        return self.bulk_pi.lipschitz
-
-    @property
-    def lipschitz_boundary(self):
-        return self.boundary_pi.lipschitz
-
 
 def _family(kind, c1, c2):
     if kind == REGULAR:
@@ -285,12 +283,14 @@ def resolvent(graph, eps_eff, r):
 
 
 @_nodal
-def _yosida(graph, eps_eff, r):
+def yosida(graph, eps_eff, r):
+    """Yosida approximation (r - J) / eps_eff, Lipschitz constant 1/eps_eff."""
     return (r - resolvent(graph, eps_eff, r)) / eps_eff
 
 
 @_nodal
-def _yosida_prime(graph, eps_eff, r):
+def yosida_prime(graph, eps_eff, r):
+    """Nodal derivative of :func:`yosida` (semismooth for the obstacle)."""
     if graph.kind == OBSTACLE:
         # generalized derivative: 0 on [-1, 1] (including the kinks)
         return np.where(np.abs(r) > 1.0, 1.0 / eps_eff, 0.0)
@@ -300,37 +300,6 @@ def _yosida_prime(graph, eps_eff, r):
     with np.errstate(divide="ignore"):
         jp = 1.0 / (1.0 + eps_eff * graph.beta_prime(j))
     return (1.0 - jp) / eps_eff
-
-
-def yosida_bulk(graph, eps, r):
-    """Yosida approximation with parameter eps, Lipschitz constant 1/eps."""
-    if not 0.0 < eps <= 1.0:
-        raise ValueError("eps must lie in (0, 1]")
-    return _yosida(graph, eps, r)
-
-
-def yosida_boundary(graph, eps, rho, r):
-    """Boundary Yosida map: resolvent parameter eps*rho, prefactor 1/(eps*rho).
-
-    Equals :func:`yosida_bulk` with effective parameter ``eps * rho``; the
-    asymmetric scaling is what keeps the bulk/boundary compatibility bound
-    valid with unchanged constants.
-    """
-    if not 0.0 < eps <= 1.0:
-        raise ValueError("eps must lie in (0, 1]")
-    if not rho > 0.0:
-        raise ValueError("rho must be positive")
-    return _yosida(graph, eps * rho, r)
-
-
-def yosida_bulk_prime(graph, eps, r):
-    """Nodal derivative of the bulk Yosida map (semismooth for obstacle)."""
-    return _yosida_prime(graph, eps, r)
-
-
-def yosida_boundary_prime(graph, eps, rho, r):
-    """Nodal derivative of the boundary Yosida map."""
-    return _yosida_prime(graph, eps * rho, r)
 
 
 @_nodal
@@ -371,8 +340,8 @@ def _compat_gaps(bulk, boundary, eps, rho, samples):
     b_hi = boundary.hi if math.isfinite(boundary.hi) else 3.0
     pts = np.concatenate([np.linspace(b_lo, b_hi, samples),
                           np.linspace(-5.0, 5.0, samples)])
-    gap = np.abs(_yosida(bulk, eps, pts)) \
-        - rho * np.abs(_yosida(boundary, eps * rho, pts))
+    gap = np.abs(yosida(bulk, eps, pts)) \
+        - rho * np.abs(yosida(boundary, eps * rho, pts))
     return pts, gap
 
 

@@ -103,9 +103,9 @@ def fixed_point_step(state, data, params, ops, fn, gn,
     def solve_with_frozen_graphs(phi):
         rhs = rhs_fixed.copy()
         rhs[s_mu] = base_mu \
-            - Mb @ graphs.yosida_bulk(pair.bulk, eps, phi) \
-            - T.T @ (Mg @ graphs.yosida_boundary(pair.boundary, eps,
-                                                 pair.rho, phi[loop]))
+            - Mb @ graphs.yosida(pair.bulk, eps, phi) \
+            - T.T @ (Mg @ graphs.yosida(pair.boundary, eps * pair.rho,
+                                        phi[loop]))
         return Ainv @ rhs
 
     phi = state.phi.copy()

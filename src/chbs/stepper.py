@@ -195,7 +195,7 @@ def step_guard(params, pair):
     ``GUARD_COMPAT_SAMPLES`` points; a pair that fails it is outside the
     theory whatever the step.
     """
-    L, Lg = pair.lipschitz_bulk, pair.lipschitz_boundary
+    L, Lg = pair.bulk_pi.lipschitz, pair.boundary_pi.lipschitz
     term_b = math.inf if L == 0.0 else params.tau / (2.0 * L)
     term_g = math.inf if Lg == 0.0 else params.sigma / (2.0 * Lg)
     h_max = min(term_b, term_g)
@@ -308,7 +308,7 @@ def validate(data, params, ops, strong=False):
         lap = ops.bulk.solver("mass").solve(ops.bulk.K @ phi0, "mass solve")
         norms = []
         for eps in STRONG_EPS_LADDER:
-            e = lap + graphs.yosida_bulk(pair.bulk, eps, phi0) \
+            e = lap + graphs.yosida(pair.bulk, eps, phi0) \
                 + pair.bulk_pi(phi0) - f0
             norms.append(diskfem.norms(ops.bulk, e)["h1"])
         report.strong_norms = norms
@@ -573,9 +573,9 @@ class _StepWorkspace:
         phi = x[:self.nb]
         r = self.L @ x - b
         r_mu = r[self.nb:2 * self.nb]
-        r_mu += self.ops.bulk.M @ graphs.yosida_bulk(pair.bulk, eps, phi)
-        r_mu[self.loop] += self.ops.bdry.M @ graphs.yosida_boundary(
-            pair.boundary, eps, pair.rho, phi[self.loop])
+        r_mu += self.ops.bulk.M @ graphs.yosida(pair.bulk, eps, phi)
+        r_mu[self.loop] += self.ops.bdry.M @ graphs.yosida(
+            pair.boundary, eps * pair.rho, phi[self.loop])
         return r, math.sqrt(float(r @ r) / r.size)
 
     def jacobian_matrix(self, phi, average=False):
@@ -583,9 +583,9 @@ class _StepWorkspace:
         mesh, where the graph derivatives are replaced by their mean over
         each ring of the bulk and over the boundary loop."""
         pair, eps = self.pair, self.params.eps
-        d_b = graphs.yosida_bulk_prime(pair.bulk, eps, phi)
-        d_g = graphs.yosida_boundary_prime(pair.boundary, eps, pair.rho,
-                                           phi[self.loop])
+        d_b = graphs.yosida_prime(pair.bulk, eps, phi)
+        d_g = graphs.yosida_prime(pair.boundary, eps * pair.rho,
+                                  phi[self.loop])
         if average:
             rings, sectors = self.rings
             ring_means = d_b[1:].reshape(rings, sectors).mean(axis=1)
@@ -812,6 +812,7 @@ def interpolants(traj, t):
 def load_states(path):
     """Read a checkpoint file back into a list of states.
 
+    Every block has one line per row, so an empty line is an empty row.
     A file cut inside a block (no final newline, a missing row, or rows
     of one side that differ in length) raises ParseError.
     """
@@ -820,12 +821,12 @@ def load_states(path):
         text = fh.read()
     if text and not text.endswith("\n"):
         raise ParseError("checkpoint file ends inside a line")
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = text.splitlines()
     size = 1 + len(checkpoint.FIELDS)  # the head line and one per field
     i = 0
     while i < len(lines):
         head = lines[i].split()
-        if head[0] != "state" or len(head) != 3 or i + size > len(lines):
+        if len(head) != 3 or head[0] != "state" or i + size > len(lines):
             raise ParseError("bad checkpoint block at line %d" % (i + 1))
         try:
             n, t = int(head[1]), float(head[2])

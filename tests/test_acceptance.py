@@ -50,12 +50,12 @@ def test_criterion_01_graph_suite():
         prim_dom = g.primitive(dom)
         min_sec = np.abs([graphs.minimal_section(g, float(r)) for r in dom])
         for eps in eps_grid:
-            assert graphs.yosida_bulk(g, eps, 0.0) == 0.0
-            assert graphs.yosida_boundary(g, eps, pair.rho, 0.0) == 0.0
+            assert graphs.yosida(g, eps, 0.0) == 0.0
+            assert graphs.yosida(g, eps * pair.rho, 0.0) == 0.0
             # pointwise bounds of the regularization, zero violations
-            assert np.all(np.abs(graphs.yosida_bulk(g, eps, dom))
+            assert np.all(np.abs(graphs.yosida(g, eps, dom))
                           <= min_sec + 1e-12)
-            assert np.all(np.abs(graphs.yosida_boundary(g, eps, 1.5, dom))
+            assert np.all(np.abs(graphs.yosida(g, eps * 1.5, dom))
                           <= min_sec + 1e-12)
             env = graphs.moreau_envelope(g, eps, dom)
             assert np.all(env >= 0.0)
@@ -108,7 +108,7 @@ def test_criterion_03_energy_dissipation(desk_ops):
     data = stepper.problem_data(ops, phi0, pair)
     params = stepper.SchemeParams(**DESK)
     guard = stepper.step_guard(params, pair)
-    assert params.h * pair.lipschitz_bulk <= 2 * params.tau
+    assert params.h * pair.bulk_pi.lipschitz <= 2 * params.tau
     assert guard.ok
     traj = cached_run(ops, "random-free", data, params)
     assert len(traj.states) - 1 >= 250

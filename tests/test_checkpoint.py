@@ -246,6 +246,23 @@ def test_cut_stream_keeps_complete_blocks(traj, tmp_path):
     assert_states_equal(stepper.load_states(path), [first, second])
 
 
+def test_empty_rows_roundtrip(traj, tmp_path):
+    # an empty row is printed as an empty line inside its block
+    empty = np.array([])
+    states = [stepper.SchemeState(0, 0.0, np.array([1.0]), np.array([2.0]),
+                                  empty, empty),
+              traj.states[1],
+              stepper.SchemeState(2, 0.5, empty, empty, empty, empty)]
+    path = tmp_path / "checkpoints.txt"
+    with checkpoint.Writer() as writer, \
+            checkpoint.Stream(writer, path) as stream:
+        for state in states:
+            stream(state, None)
+    assert path.read_text() == printf_blocks(states)
+    assert path.read_text().startswith("state 0 0\n1\n2\n\n\nstate 1 ")
+    assert_states_equal(stepper.load_states(path), states)
+
+
 def test_interleaved_files_each_get_their_blocks(traj, tmp_path):
     # two files on one pipe, their blocks alternating, and a third that
     # cannot be opened: each close answers for its own file only

@@ -402,6 +402,40 @@ class TestCmdRun:
             assert ("fallbacks_total=%d %s" % (fallbacks, want)
                     in (out / "summary.txt").read_text().splitlines())
 
+    def test_summary_names_the_mesh(self, tmp_path):
+        mesh_path = tmp_path / "disk.mesh"
+        diskfem.save_mesh(diskfem.gen_disk_mesh(3, 12), mesh_path)
+        for name, extra, want in (
+                ("ring", "", "mesh=3x12"),
+                ("file", "mesh_file = %s\n" % mesh_path,
+                 "mesh=%s" % mesh_path)):
+            cfg = cli.parse_config(write_config(tmp_path, TINY + extra))
+            out = tmp_path / name
+            code, _ = cli.execute_run(cfg, out_dir=str(out),
+                                      echo=lambda *a: None)
+            assert code == 0
+            first = (out / "summary.txt").read_text().splitlines()[0]
+            assert first.split()[2] == want
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", ("nan", "inf"))
+    @pytest.mark.parametrize("command", ("run", "mesh-info"))
+    def test_non_finite_vertex_exit_2(self, tmp_path, capsys, command,
+                                      value):
+        mesh = diskfem.gen_disk_mesh(3, 12)
+        mesh.vertices[5, 1] = float(value)
+        mesh_path = tmp_path / "disk.mesh"
+        diskfem.save_mesh(mesh, mesh_path)
+        path = write_config(tmp_path, TINY + "mesh_file = %s\n" % mesh_path)
+        code = cli.main([command, "--config", path]
+                        + (["--out", str(tmp_path / "out")]
+                           if command == "run" else []))
+        captured = capsys.readouterr()
+        assert code == 2
+        printed = captured.out + captured.err
+        assert "vertex 5 has a non-finite coordinate" in printed
+        assert "Traceback" not in printed
+
     def test_determinism(self, tmp_path):
         body = TINY + "ic = random(0.2, 11)\nsource_f = ramp(0.5)\n"
         cfg = cli.parse_config(write_config(tmp_path, body))

@@ -72,22 +72,18 @@ class TestYosida:
     @pytest.mark.parametrize("eps", (1.0, 0.5, 0.1))
     def test_zero_at_origin_exactly(self, kind, eps):
         g = make_graph(kind)
-        assert graphs.yosida_bulk(g, eps, 0.0) == 0.0
-        assert graphs.yosida_boundary(g, eps, 2.0, 0.0) == 0.0
+        assert graphs.yosida(g, eps, 0.0) == 0.0
+        assert graphs.yosida(g, eps * 2.0, 0.0) == 0.0
 
     def test_obstacle_values(self):
         g = make_graph("obstacle")
-        assert graphs.yosida_bulk(g, 0.5, 2.0) == pytest.approx(2.0, abs=1e-14)
-        assert graphs.yosida_boundary(g, 0.5, 2.0, 3.0) == pytest.approx(
+        assert graphs.yosida(g, 0.5, 2.0) == pytest.approx(2.0, abs=1e-14)
+        assert graphs.yosida(g, 0.5 * 2.0, 3.0) == pytest.approx(
             2.0, abs=1e-14)
 
     def test_regular_value(self):
         g = make_graph("regular")
-        assert graphs.yosida_bulk(g, 1.0, 2.0) == pytest.approx(1.0,
-                                                                abs=1e-12)
-        # boundary map with eps*rho = 1 solves the same scalar problem
-        assert graphs.yosida_boundary(g, 0.5, 2.0, 2.0) == pytest.approx(
-            1.0, abs=1e-12)
+        assert graphs.yosida(g, 1.0, 2.0) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("eps", (0.5, 0.1))
@@ -98,14 +94,14 @@ class TestYosida:
         else:
             pts = np.linspace(-1 + 1e-9, 1 - 1e-9, 301)
         for r in pts:
-            assert abs(graphs.yosida_bulk(g, eps, float(r))) \
+            assert abs(graphs.yosida(g, eps, float(r))) \
                 <= abs(graphs.minimal_section(g, float(r))) + 1e-12
 
     @pytest.mark.filterwarnings("error")
     def test_log_prime_where_resolvent_rounds_to_one(self):
         g = make_graph("log")
         assert graphs.resolvent(g, 0.1, 6.0) == 1.0
-        assert graphs.yosida_bulk_prime(g, 0.1, 6.0) == 10.0
+        assert graphs.yosida_prime(g, 0.1, 6.0) == 10.0
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_lipschitz_and_monotone(self, kind, rng):
@@ -113,12 +109,12 @@ class TestYosida:
         eps, rho = 0.25, 1.5
         r = rng.uniform(-1.2, 1.2, 300)
         s = rng.uniform(-1.2, 1.2, 300)
-        br = graphs.yosida_bulk(g, eps, r)
-        bs = graphs.yosida_bulk(g, eps, s)
+        br = graphs.yosida(g, eps, r)
+        bs = graphs.yosida(g, eps, s)
         assert np.all(np.abs(br - bs) <= np.abs(r - s) / eps + 1e-12)
         assert np.all((br - bs) * (r - s) >= -1e-14)
-        gr = graphs.yosida_boundary(g, eps, rho, r)
-        gs = graphs.yosida_boundary(g, eps, rho, s)
+        gr = graphs.yosida(g, eps * rho, r)
+        gs = graphs.yosida(g, eps * rho, s)
         assert np.all(np.abs(gr - gs) <= np.abs(r - s) / (eps * rho) + 1e-12)
 
 
@@ -165,11 +161,11 @@ class TestMoreauEnvelope:
         for r in smooth_pts:
             fd = (graphs.moreau_envelope(g, eps, r + delta)
                   - graphs.moreau_envelope(g, eps, r - delta)) / (2 * delta)
-            assert abs(fd - graphs.yosida_bulk(g, eps, r)) < 1e-6
+            assert abs(fd - graphs.yosida(g, eps, r)) < 1e-6
         for r in kink_pts:
             fd = (graphs.moreau_envelope(g, eps, r + delta)
                   - graphs.moreau_envelope(g, eps, r - delta)) / (2 * delta)
-            assert abs(fd - graphs.yosida_bulk(g, eps, r)) < 1e-3
+            assert abs(fd - graphs.yosida(g, eps, r)) < 1e-3
 
 
 class TestMinimalSection:

@@ -292,6 +292,30 @@ class TestSolveStep:
         assert np.abs(new.mu - mu_o).max() < 1e-8
         assert np.abs(new.w - w_o).max() < 1e-8
 
+    @pytest.mark.parametrize("pair", [
+        graphs.preset_pair(kind, rho=rho)
+        for kind in ("regular", "log", "obstacle") for rho in (0.5, 2.0)
+    ] + [graphs.mixed_pair("regular", "obstacle", rho=2.0),
+         graphs.mixed_pair("log", "obstacle", rho=0.5)],
+        ids=lambda pair: "%s-rho%g" % (pair.name, pair.rho))
+    def test_matches_oracle_at_rho_not_one(self, tiny_ops, pair):
+        # the other oracle tests run at rho = 1, where a boundary map
+        # that dropped rho from its parameter eps * rho would agree
+        x = tiny_ops.mesh.vertices[:, 0]
+        amp = 1.5 if pair.name == "regular" else 0.5
+        data = stepper.problem_data(tiny_ops, amp * np.sin(3.0 * x), pair)
+        params = stepper.SchemeParams(h=1e-3, t_final=1e-3, tau=0.1,
+                                      sigma=0.1, eps=0.1)
+        fn, gn = 1000.0 * x, 1000.0 * x[tiny_ops.mesh.boundary_loop]
+        state = stepper.initial_state(data, tiny_ops)
+        new, _ = stepper.solve_step(state, data, params, tiny_ops,
+                                    fn=fn, gn=gn)
+        phi_o, mu_o, w_o = reference.fixed_point_step(
+            state, data, params, tiny_ops, fn, gn)
+        assert np.abs(new.phi - phi_o).max() < 1e-8
+        assert np.abs(new.mu - mu_o).max() < 1e-8
+        assert np.abs(new.w - w_o).max() < 1e-8
+
     @pytest.mark.parametrize("kind", ("regular", "log", "obstacle"))
     def test_reused_lu_matches_oracle_every_step(self, tiny_ops, kind):
         # one workspace over several steps, so later steps start from an
