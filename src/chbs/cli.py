@@ -177,8 +177,12 @@ def _preset_args(name, args, defaults):
 
 def build_mesh(cfg):
     if cfg.mesh_file:
-        mesh = diskfem.load_mesh(cfg.mesh_file)
-        diskfem.validate_mesh(mesh)
+        try:
+            mesh = diskfem.load_mesh(cfg.mesh_file)
+            diskfem.validate_mesh(mesh)
+        except ParseError as exc:
+            raise ParseError("mesh file %s: %s"
+                             % (cfg.mesh_file, exc)) from None
         return mesh
     return diskfem.gen_disk_mesh(cfg.mesh_rings, cfg.mesh_sectors)
 
@@ -241,25 +245,21 @@ def build_problem(cfg, ops):
     return stepper.problem_data(ops, phi0, pair, f=f, g=g)
 
 
-def execute_run(cfg, out_dir=None, echo=print):
+def execute_run(cfg, echo=print):
     """Validate, run and write outputs; returns (exit_code, trajectory)."""
     # the checkpoint writer starts first, so that its numpy import
     # overlaps the mesh, the assembly and the first steps
     with checkpoint.Writer() as writer:
-        try:
-            mesh = build_mesh(cfg)
-        except ParseError as exc:
-            echo("mesh error: %s" % exc)
-            return 2, None
-        return execute_on(cfg, diskfem.assemble(mesh),
-                          out_dir or cfg.out_dir, writer, echo)
+        return execute_on(cfg, diskfem.assemble(build_mesh(cfg)),
+                          cfg.out_dir, writer, echo)
 
 
 def _admit(cfg, datas, params, ops, echo):
     """Validate the problems of one command and evaluate its step guard.
 
-    Returns ``(ok, lines)``: whether the command may run them (exit 2
-    otherwise) and the lines the checks report, each also echoed.
+    Returns ``(ok, lines, guard)``: whether the command may run them
+    (exit 2 otherwise), the lines the checks report, each also echoed,
+    and the :class:`stepper.GuardReport`, ``None`` if validation failed.
     Validation is strong when ``cfg.strong_checks`` is set; a violated
     guard refuses the run when ``cfg.strict_guard`` is set and only warns
     otherwise.
@@ -277,7 +277,7 @@ def _admit(cfg, datas, params, ops, echo):
             for v in report.violations:
                 lines.append("validation: %s" % v)
                 echo(lines[-1])
-            return False, lines
+            return False, lines, None
     guard = stepper.step_guard(params, datas[0].pair)
     if not guard.ok:
         msg = ("step guard violated: h=%.3g, h_max=%.3g%s"
@@ -286,10 +286,10 @@ def _admit(cfg, datas, params, ops, echo):
         if cfg.strict_guard:
             echo(msg + " [strict mode: refusing to run]")
             lines.append(msg + " [strict]")
-            return False, lines
+            return False, lines, guard
         echo("warning: " + msg)
         lines.append("warning: " + msg)
-    return True, lines
+    return True, lines, guard
 
 
 def execute_on(cfg, ops, out, writer, echo=print, hooks=()):
@@ -312,7 +312,7 @@ def execute_on(cfg, ops, out, writer, echo=print, hooks=()):
         reached[0] = state.n
 
     try:
-        ok, lines = _admit(cfg, [data], params, ops, echo)
+        ok, lines, guard = _admit(cfg, [data], params, ops, echo)
         summary += lines
         if not ok:
             return 2, None
@@ -346,7 +346,7 @@ def execute_on(cfg, ops, out, writer, echo=print, hooks=()):
                                 if r.exact_lu), "none")))
         summary.append("backtracks_total=%d"
                        % sum(r.backtracks for r in reports))
-        summary.append("outside_theory=%s" % traj.outside_theory)
+        summary.append("outside_theory=%s" % (not guard.ok))
         return 0, traj
     except KeyboardInterrupt:
         summary.append("interrupted at step %d" % reached[0])
@@ -540,10 +540,9 @@ def _selftest_graphs():
     return True, "resolvents, origin values, compatibility"
 
 
-def _selftest_diskfem(mesh_file=None):
+def _selftest_diskfem():
     try:
-        mesh = (diskfem.load_mesh(mesh_file) if mesh_file
-                else diskfem.gen_disk_mesh(8, 24))
+        mesh = diskfem.gen_disk_mesh(8, 24)
         diskfem.validate_mesh(mesh)
     except ChbsError as exc:
         return False, "mesh: %s" % exc
@@ -578,11 +577,10 @@ def _tiny_problem(name="regular", eps=0.5, h=1e-3):
 def _selftest_stepper_oracle():
     _, ops, _, params, data = _tiny_problem()
     state = stepper.initial_state(data, ops)
-    fn = np.zeros(ops.mesh.n_bulk)
-    gn = np.zeros(ops.mesh.n_bdry)
-    new, _ = stepper.solve_step(state, data, params, ops, fn=fn, gn=gn)
-    phi_o, mu_o, w_o = reference.fixed_point_step(state, data, params, ops,
-                                                  fn, gn)
+    new, _ = stepper.solve_step(state, data, params, ops)
+    phi_o, mu_o, w_o = reference.fixed_point_step(
+        state, data, params, ops, np.zeros(ops.mesh.n_bulk),
+        np.zeros(ops.mesh.n_bdry))
     worst = max(float(np.abs(new.phi - phi_o).max()),
                 float(np.abs(new.mu - mu_o).max()),
                 float(np.abs(new.w - w_o).max()))
@@ -673,10 +671,10 @@ def _selftest_checkpoint():
         values.size, len(rows))
 
 
-def cmd_selftest(mesh_file=None, echo=print):
+def cmd_selftest(echo=print):
     groups = [
         ("graphs", _selftest_graphs),
-        ("diskfem", lambda: _selftest_diskfem(mesh_file)),
+        ("diskfem", _selftest_diskfem),
         ("stepper-oracle", _selftest_stepper_oracle),
         ("fourier-solve", _selftest_fourier_solve),
         ("interpolant-identity", _selftest_tool3),
@@ -696,7 +694,6 @@ def cmd_selftest(mesh_file=None, echo=print):
 
 def cmd_mesh_info(cfg, echo=print):
     mesh = build_mesh(cfg)
-    diskfem.validate_mesh(mesh)
     areas = mesh.triangle_areas()
     lengths = mesh.boundary_lengths()
     echo("vertices %d (boundary %d), triangles %d" %
@@ -737,8 +734,7 @@ def main(argv=None):
     p_cd.add_argument("--config", action="append", required=True,
                       help="give twice: baseline and perturbed")
 
-    p_st = sub.add_parser("selftest", help="run the invariant suite")
-    p_st.add_argument("--mesh-file", default=None, help=argparse.SUPPRESS)
+    sub.add_parser("selftest", help="run the invariant suite")
 
     p_mi = sub.add_parser("mesh-info", help="mesh statistics")
     p_mi.add_argument("--config", default=None)
@@ -768,7 +764,7 @@ def main(argv=None):
             return cmd_contdep(parse_config(args.config[0]),
                                parse_config(args.config[1]))
         if args.command == "selftest":
-            return cmd_selftest(mesh_file=args.mesh_file)
+            return cmd_selftest()
         if args.command == "mesh-info":
             return cmd_mesh_info(cfg)
     except ParseError as exc:

@@ -39,21 +39,15 @@ def _energies(state, pair, ops, eps):
     return grad[0] + grad[1] + pot[0] + pot[1], e_eps, h1
 
 
-def energy(state, pair, ops, mode="true", eps=None):
+def energy(state, pair, ops, eps=None):
     """Total free energy of one state.
 
-    ``mode='true'`` uses the unregularized potentials and returns +inf as
-    soon as one nodal value leaves the graph domain; ``mode='regularized'``
-    substitutes the inf-convolution envelopes with parameter ``eps``
-    (scaled by rho on the boundary).
+    Without ``eps`` the unregularized potentials are used, and the energy
+    is +inf as soon as one nodal value leaves the graph domain; with
+    ``eps`` the inf-convolution envelopes with that parameter (scaled by
+    rho on the boundary) replace them.
     """
-    if mode == "regularized" and eps is None:
-        raise ValueError("regularized energy needs eps")
-    if mode not in ("true", "regularized"):
-        raise ValueError("mode must be 'true' or 'regularized'")
-    if mode == "true":
-        return _energies(state, pair, ops, None)[0]
-    return _energies(state, pair, ops, eps)[1]
+    return _energies(state, pair, ops, eps)[0 if eps is None else 1]
 
 
 def _lyapunov(e_eps, state, h, ops):
@@ -68,8 +62,7 @@ def lyapunov(state, pair, eps, h, ops):
     This is the quantity the scheme dissipates for source-free runs when
     the step-size guard holds.
     """
-    return _lyapunov(energy(state, pair, ops, mode="regularized", eps=eps),
-                     state, h, ops)
+    return _lyapunov(energy(state, pair, ops, eps=eps), state, h, ops)
 
 
 @dataclass
@@ -217,8 +210,10 @@ def cont_dep(trajA, trajB, dataA, dataB, ops):
     against constants).
     """
     _check_same_grid(trajA, trajB)
-    gaps = [abs(diskfem.mean(part, getattr(dataA, val + "0"))
-                - diskfem.mean(part, getattr(dataB, val + "0")))
+    initA = stepper.initial_state(dataA, ops)
+    initB = stepper.initial_state(dataB, ops)
+    gaps = [abs(diskfem.mean(part, getattr(initA, val))
+                - diskfem.mean(part, getattr(initB, val)))
             for part, val, _ in sides(ops)]
     if any(gap > 1e-10 for gap in gaps):
         raise MeanMismatch("initial mean gap bulk=%.3e boundary=%.3e"
@@ -242,7 +237,7 @@ def cont_dep(trajA, trajB, dataA, dataB, ops):
                                          part.lumped.size)
             if np.any(ds):
                 src_sq += h * _dual_style(part, ds) ** 2
-        dv0 = getattr(dataA, val + "0") - getattr(dataB, val + "0")
+        dv0 = getattr(initA, val) - getattr(initB, val)
         lhs_sides.append((sup_dual, math.sqrt(int_h1)))
         rhs_sides.append((diskfem.dual_norm(part, dv0), math.sqrt(src_sq)))
     # this key order is the summation order of lhs and rhs

@@ -92,17 +92,24 @@ def gen_disk_mesh(n_rings, n_sectors):
 
 
 def validate_mesh(mesh):
-    """Check finite coordinates, orientation, positivity and boundary
-    topology.
+    """Check finite coordinates, vertex use, orientation, positivity and
+    boundary topology.
 
-    The boundary edges of the triangulation must coincide, as a set, with
-    the consecutive pairs of the (single, closed) boundary loop.
-    Raises ParseError on violations so corrupted mesh files surface as
-    parse-stage failures.
+    Every vertex must belong to a triangle: an unused one would give the
+    operators an empty row.  The boundary edges of the triangulation must
+    coincide, as a set, with the consecutive pairs of the (single, closed)
+    boundary loop.  Raises ParseError on violations so corrupted mesh
+    files surface as parse-stage failures.
     """
     bad = np.flatnonzero(~np.isfinite(mesh.vertices).all(axis=1))
     if bad.size:
         raise ParseError("vertex %d has a non-finite coordinate" % bad[0])
+    if not mesh.triangles.size:
+        raise ParseError("mesh has no triangle")
+    unused = np.flatnonzero(np.bincount(mesh.triangles.ravel(),
+                                        minlength=mesh.n_bulk) == 0)
+    if unused.size:
+        raise ParseError("vertex %d belongs to no triangle" % unused[0])
     areas = mesh.triangle_areas()
     if (areas <= 0.0).any():
         raise ParseError("non-positively-oriented or degenerate triangle")

@@ -83,21 +83,22 @@ class SchemeParams:
 class ProblemData:
     """Initial data, sources and the potential pair.
 
-    Sources may be ``None`` (zero), a nodal array (constant in time) or a
-    callable ``t -> nodal array``.
+    Only the bulk initial level ``phi0`` is data: the boundary one is its
+    trace, which :func:`initial_state` takes.  Sources may be ``None``
+    (zero), a nodal array (constant in time) or a callable ``t -> nodal
+    array``.
     """
 
     phi0: np.ndarray
-    psi0: np.ndarray
     f: object
     g: object
     pair: graphs.PotentialPair
 
 
 def problem_data(ops, phi0, pair, f=None, g=None):
-    """Assemble a :class:`ProblemData`, deriving psi0 as the trace of phi0."""
-    phi0 = np.asarray(phi0, dtype=float)
-    return ProblemData(phi0, diskfem.trace(ops, phi0), f, g, pair)
+    """Assemble a :class:`ProblemData`; ``ops`` is unread, and stays in
+    the signature because the benchmark in perfbench/ passes it."""
+    return ProblemData(np.asarray(phi0, dtype=float), f, g, pair)
 
 
 @dataclass
@@ -148,19 +149,15 @@ class Trajectory:
 
     ``reports[0]`` is ``None`` (the initial state is given, not solved).
     On a solver failure the partial trajectory is kept and ``failure``
-    holds the raised error.
+    holds the raised error.  Whether the run lies inside the theory is
+    judged on the data before it starts (:func:`step_guard`), not here.
     """
 
     states: list
     reports: list
     params: SchemeParams
-    guard: GuardReport
     failure: Exception = None
     failed_step: int = None
-
-    @property
-    def outside_theory(self):
-        return not self.guard.ok
 
     def times(self):
         return np.array([s.t for s in self.states])
@@ -260,22 +257,13 @@ def validate(data, params, ops, strong=False):
     violations = list(param_violations)
     pair = data.pair
     phi0 = np.asarray(data.phi0, dtype=float)
-    psi0 = np.asarray(data.psi0, dtype=float)
     if phi0.shape[0] != ops.mesh.n_bulk:
         violations.append("phi0 has %d entries, mesh has %d vertices"
                           % (phi0.shape[0], ops.mesh.n_bulk))
         return ValidationReport(False, violations)
-    tr = diskfem.trace(ops, phi0)
-    sides = [(ops.bulk, phi0, pair.bulk), (ops.bdry, psi0, pair.boundary)]
-    if psi0.shape != tr.shape or not np.array_equal(tr, psi0):
-        bad = (np.nonzero(tr != psi0)[0] if psi0.shape == tr.shape
-               else np.array([0]))
-        violations.append(
-            "psi0 is not the trace of phi0 (first mismatch at boundary "
-            "node %d)" % int(bad[0]))
-        # psi0 may not even have one entry per boundary node
-        del sides[1]
-    for part, v, graph in sides:
+    for part, v, graph in ((ops.bulk, phi0, pair.bulk),
+                           (ops.bdry, diskfem.trace(ops, phi0),
+                            pair.boundary)):
         m = diskfem.mean(part, v)
         if not graph.contains(m, interior=True):
             violations.append("%s mean %.6g not interior to the %s graph "
@@ -648,12 +636,12 @@ class _StepWorkspace:
             self.rings = None
 
 
-def solve_step(state, data, params, ops, fn=None, gn=None, work=None,
-               guess=None):
+def solve_step(state, data, params, ops, work=None, guess=None):
     """Advance one time level.
 
     The Newton iteration starts at ``guess``, a vector x = (phi, mu, w),
-    when one is given, and at the old level otherwise.  Returns
+    when one is given, and at the old level otherwise; the sources enter
+    as their step averages (:func:`average_source`).  Returns
     ``(new_state, StepReport)``.  Raises NewtonFailure when the damped
     iteration stagnates; linear solver errors propagate.
 
@@ -667,14 +655,12 @@ def solve_step(state, data, params, ops, fn=None, gn=None, work=None,
     """
     if work is None:
         work = _StepWorkspace(ops, data.pair, params)
-    if fn is None:
-        fn = average_source(data.f, state.n, params.h, ops.mesh.n_bulk)
-    if gn is None:
-        gn = average_source(data.g, state.n, params.h, ops.mesh.n_bdry)
 
     h, nb = params.h, work.nb
     tol_inner = 0.25 * params.newton_tol
-    b = work.load(state, fn, gn)
+    b = work.load(state,
+                  average_source(data.f, state.n, h, ops.mesh.n_bulk),
+                  average_source(data.g, state.n, h, ops.mesh.n_bdry))
     # a copy of the guess, as the means are pinned in x itself below
     x = (np.concatenate([state.phi, state.mu, state.w]) if guess is None
          else np.array(guess, dtype=float))
@@ -758,10 +744,9 @@ def run(data, params, ops, hooks=()):
     (report ``None``) and after every accepted step.  On a solver failure
     the partial trajectory is returned with the failure attached.
     """
-    guard = step_guard(params, data.pair)
     work = _StepWorkspace(ops, data.pair, params)
     state = initial_state(data, ops)
-    traj = Trajectory([state], [None], params, guard)
+    traj = Trajectory([state], [None], params)
     for hook in hooks:
         hook(state, None)
     # run's own copies, so the trajectory need not keep its states

@@ -6,6 +6,8 @@ heavy runs share the session mesh fixture; individual criteria pin their
 own time horizons and potentials.
 """
 
+import dataclasses
+
 import numpy as np
 
 from chbs import cli, diagnostics, diskfem, graphs, reference, stepper
@@ -146,12 +148,10 @@ def test_criterion_05_tiny_mesh_oracle(tiny_ops):
         phi0 = 0.1 * gen.uniform(-1.0, 1.0, tiny_ops.mesh.n_bulk)
         data = stepper.problem_data(tiny_ops, phi0, pair)
         state = stepper.initial_state(data, tiny_ops)
-        fn = np.zeros(tiny_ops.mesh.n_bulk)
-        gn = np.zeros(tiny_ops.mesh.n_bdry)
-        new, _ = stepper.solve_step(state, data, params, tiny_ops,
-                                    fn=fn, gn=gn)
+        new, _ = stepper.solve_step(state, data, params, tiny_ops)
         phi_o, mu_o, w_o = reference.fixed_point_step(
-            state, data, params, tiny_ops, fn, gn)
+            state, data, params, tiny_ops, np.zeros(tiny_ops.mesh.n_bulk),
+            np.zeros(tiny_ops.mesh.n_bdry))
         gap = max(np.abs(new.phi - phi_o).max(),
                   np.abs(new.mu - mu_o).max(),
                   np.abs(new.w - w_o).max())
@@ -305,8 +305,9 @@ def test_criterion_10_determinism(tmp_path):
     cfg_path = tmp_path / "det.cfg"
     cfg_path.write_text(body)
     cfg = cli.parse_config(str(cfg_path))
-    cli.execute_run(cfg, out_dir=str(tmp_path / "a"), echo=lambda *a: None)
-    cli.execute_run(cfg, out_dir=str(tmp_path / "b"), echo=lambda *a: None)
+    for run in ("a", "b"):
+        cli.execute_run(dataclasses.replace(cfg, out_dir=str(tmp_path / run)),
+                        echo=lambda *a: None)
     a = (tmp_path / "a" / "run.csv").read_bytes()
     b = (tmp_path / "b" / "run.csv").read_bytes()
     assert a == b

@@ -1,3 +1,4 @@
+import dataclasses
 import filecmp
 import math
 import os
@@ -9,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from chbs import checkpoint, cli, diskfem, stepper
+from chbs import checkpoint, cli, diskfem, graphs, stepper
 from chbs.errors import ParseError, UnknownKey
 from conftest import printf_blocks, renumbered
 
@@ -158,8 +159,8 @@ class TestCmdRun:
     def test_stationary_run_constant_csv(self, tmp_path):
         path = write_config(tmp_path, TINY + "ic = constant(0)\n")
         cfg = cli.parse_config(path)
-        code = cli.execute_run(cfg, out_dir=str(tmp_path / "out"),
-                               echo=lambda *a: None)[0]
+        cfg = dataclasses.replace(cfg, out_dir=str(tmp_path / "out"))
+        code = cli.execute_run(cfg, echo=lambda *a: None)[0]
         assert code == 0
         lines = (tmp_path / "out" / "run.csv").read_text().strip().split("\n")
         first = lines[1].split(",")
@@ -181,8 +182,8 @@ class TestCmdRun:
         ids=("nan-callable-source", "partial-last-step"))
     def test_bad_source_or_horizon_exit_2(self, tmp_path, body):
         cfg = cli.parse_config(write_config(tmp_path, body))
-        code, traj = cli.execute_run(cfg, out_dir=str(tmp_path / "out"),
-                                     echo=lambda *a: None)
+        cfg = dataclasses.replace(cfg, out_dir=str(tmp_path / "out"))
+        code, traj = cli.execute_run(cfg, echo=lambda *a: None)
         assert code == 2
         assert traj is None
 
@@ -190,13 +191,12 @@ class TestCmdRun:
         body = ("mesh_rings = 3\nmesh_sectors = 12\n"
                 "h = 0.06\nt_final = 0.12\nic = constant(0)\n")
         cfg = cli.parse_config(write_config(tmp_path, body))
-        cfg_out = str(tmp_path / "o1")
-        assert cli.execute_run(cfg, out_dir=cfg_out,
-                               echo=lambda *a: None)[0] == 0
-        import dataclasses
-        strict = dataclasses.replace(cfg, strict_guard=True)
-        assert cli.execute_run(strict, out_dir=str(tmp_path / "o2"),
-                               echo=lambda *a: None)[0] == 2
+        assert cli.execute_run(
+            dataclasses.replace(cfg, out_dir=str(tmp_path / "o1")),
+            echo=lambda *a: None)[0] == 0
+        strict = dataclasses.replace(cfg, strict_guard=True,
+                                     out_dir=str(tmp_path / "o2"))
+        assert cli.execute_run(strict, echo=lambda *a: None)[0] == 2
 
     @pytest.mark.parametrize("potential", ("regular", "log"))
     def test_incompatible_pair_warns_or_refuses(self, tmp_path, potential):
@@ -239,8 +239,8 @@ class TestCmdRun:
         body = TINY + "ic = random(0.3, 3)\nnewton_max = 1\n"
         cfg = cli.parse_config(write_config(tmp_path, body))
         out = tmp_path / "out3"
-        code, traj = cli.execute_run(cfg, out_dir=str(out),
-                                     echo=lambda *a: None)
+        code, traj = cli.execute_run(
+            dataclasses.replace(cfg, out_dir=str(out)), echo=lambda *a: None)
         assert code == 3
         assert (out / "run.csv").exists()
         # exactly the blocks of the states reached, as %.17g prints them
@@ -253,7 +253,7 @@ class TestCmdRun:
         cfg = cli.parse_config(write_config(tmp_path,
                                             TINY + "ic = random(0.3, 7)\n"))
         full = tmp_path / "full"
-        assert cli.execute_run(cfg, out_dir=str(full),
+        assert cli.execute_run(dataclasses.replace(cfg, out_dir=str(full)),
                                echo=lambda *a: None)[0] == 0
         solve = stepper.solve_step
 
@@ -265,7 +265,8 @@ class TestCmdRun:
         monkeypatch.setattr(stepper, "solve_step", interrupted)
         out = tmp_path / "out"
         with pytest.raises(KeyboardInterrupt):
-            cli.execute_run(cfg, out_dir=str(out), echo=lambda *a: None)
+            cli.execute_run(dataclasses.replace(cfg, out_dir=str(out)),
+                            echo=lambda *a: None)
         rows = (out / "run.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in rows[1:]] == ["0", "1", "2"]
         assert rows == (full / "run.csv").read_text().splitlines()[:4]
@@ -281,7 +282,7 @@ class TestCmdRun:
         cfg = cli.parse_config(write_config(tmp_path,
                                             TINY + "ic = random(0.3, 7)\n"))
         full = tmp_path / "full"
-        assert cli.execute_run(cfg, out_dir=str(full),
+        assert cli.execute_run(dataclasses.replace(cfg, out_dir=str(full)),
                                echo=lambda *a: None)[0] == 0
         solve = stepper.solve_step
 
@@ -293,7 +294,8 @@ class TestCmdRun:
         monkeypatch.setattr(stepper, "solve_step", crashing)
         out = tmp_path / "out"
         with pytest.raises(RuntimeError, match="no more memory"):
-            cli.execute_run(cfg, out_dir=str(out), echo=lambda *a: None)
+            cli.execute_run(dataclasses.replace(cfg, out_dir=str(out)),
+                            echo=lambda *a: None)
         assert (out / "run.csv").read_text().splitlines() \
             == (full / "run.csv").read_text().splitlines()[:4]
         assert (out / "summary.txt").read_text().splitlines()[-1] \
@@ -303,8 +305,8 @@ class TestCmdRun:
         body = TINY + "ic = random(0.3, 7)\nstride = 2\n"
         cfg = cli.parse_config(write_config(tmp_path, body))
         out = tmp_path / "out"
-        code, traj = cli.execute_run(cfg, out_dir=str(out),
-                                     echo=lambda *a: None)
+        code, traj = cli.execute_run(
+            dataclasses.replace(cfg, out_dir=str(out)), echo=lambda *a: None)
         assert code == 0
         assert ((out / "checkpoints.txt").read_text()
                 == printf_blocks(traj.states, stride=2))
@@ -334,8 +336,13 @@ class TestCmdRun:
     @pytest.mark.parametrize("body,args,writers", (
         (TINY + "potential = obstacle\nic = constant(1)\n", ["run"], 1),
         (TINY + "mesh_file = bad.mesh\n", ["run"], 1),
+        (TINY + "mesh_file = bad.mesh\n",
+         ["sweep", "--axis", "eps", "--ladder", "0.4,0.2,0.1"], 1),
+        (TINY + "mesh_file = bad.mesh\n", ["contdep"], 0),
+        (TINY + "mesh_file = bad.mesh\n", ["mesh-info"], 0),
         (TINY, ["sweep", "--axis", "eps", "--ladder", "0.1,0.2,0.4"], 0)),
-        ids=("validation-refusal", "mesh-error", "bad-ladder"))
+        ids=("validation-refusal", "mesh-error", "mesh-error-sweep",
+             "mesh-error-contdep", "mesh-error-mesh-info", "bad-ladder"))
     def test_refused_command_leaves_no_checkpoints(
             self, tmp_path, capsys, started_processes, body, args, writers):
         # a writer starts before the mesh is built, and must be reaped
@@ -344,10 +351,17 @@ class TestCmdRun:
         bad.write_text("vertices 3\n0 0\n1 0\n0 1\ntriangles 1\n0 2 1\n"
                        "boundary 3\n0 1 2\n")
         path = write_config(tmp_path, body.replace("bad.mesh", str(bad)))
-        out = tmp_path / "out"
-        assert cli.main(args + ["--config", path, "--out", str(out)]) == 2
-        printed = capsys.readouterr().out
-        assert ("mesh error" in printed) == ("mesh_file" in body)
+        args = args + ["--config", path] * (2 if args == ["contdep"] else 1)
+        if args[0] in ("run", "sweep"):
+            args += ["--out", str(tmp_path / "out")]
+        assert cli.main(args) == 2
+        captured = capsys.readouterr()
+        if "mesh_file" in body:
+            # every command reports a bad mesh file the same way
+            assert captured.out == ""
+            assert captured.err == (
+                "config error: mesh file %s: non-positively-oriented or "
+                "degenerate triangle\n" % bad)
         assert len(started_processes) == writers
         assert all(p.returncode is not None for p in started_processes)
         assert not [files for _, _, files in os.walk(tmp_path)
@@ -357,8 +371,8 @@ class TestCmdRun:
         body = TINY + "ic = random(0.3, 5)\n"
         cfg = cli.parse_config(write_config(tmp_path, body))
         out = tmp_path / "out"
-        code, traj = cli.execute_run(cfg, out_dir=str(out),
-                                     echo=lambda *a: None)
+        code, traj = cli.execute_run(
+            dataclasses.replace(cfg, out_dir=str(out)), echo=lambda *a: None)
         assert code == 0
         reports = traj.reports[1:]
         want = ("steps=%d newton_iters_total=%d refactors_total=%d "
@@ -372,8 +386,8 @@ class TestCmdRun:
         body = TINY + "ic = random(0.3, 5)\n"
         cfg = cli.parse_config(write_config(tmp_path, body))
         out = tmp_path / "out"
-        code, traj = cli.execute_run(cfg, out_dir=str(out),
-                                     echo=lambda *a: None)
+        code, traj = cli.execute_run(
+            dataclasses.replace(cfg, out_dir=str(out)), echo=lambda *a: None)
         assert code == 0
         lines = (out / "summary.txt").read_text().splitlines()
         want = "backtracks_total=%d" % sum(r.backtracks
@@ -395,8 +409,9 @@ class TestCmdRun:
             body = TINY + "ic = random(0.3, 5)\n" + extra
             cfg = cli.parse_config(write_config(tmp_path, body))
             out = tmp_path / name
-            code, traj = cli.execute_run(cfg, out_dir=str(out),
-                                         echo=lambda *a: None)
+            code, traj = cli.execute_run(
+                dataclasses.replace(cfg, out_dir=str(out)),
+                echo=lambda *a: None)
             assert code == 0
             fallbacks = sum(r.fallbacks for r in traj.reports[1:])
             assert ("fallbacks_total=%d %s" % (fallbacks, want)
@@ -411,8 +426,9 @@ class TestCmdRun:
                  "mesh=%s" % mesh_path)):
             cfg = cli.parse_config(write_config(tmp_path, TINY + extra))
             out = tmp_path / name
-            code, _ = cli.execute_run(cfg, out_dir=str(out),
-                                      echo=lambda *a: None)
+            code, _ = cli.execute_run(
+                dataclasses.replace(cfg, out_dir=str(out)),
+                echo=lambda *a: None)
             assert code == 0
             first = (out / "summary.txt").read_text().splitlines()[0]
             assert first.split()[2] == want
@@ -436,13 +452,60 @@ class TestCmdRun:
         assert "vertex 5 has a non-finite coordinate" in printed
         assert "Traceback" not in printed
 
+    @pytest.mark.parametrize("text,message", (
+        ("vertices 4\n0 0\n1 0\n0 1\n5 5\ntriangles 1\n0 1 2\n"
+         "boundary 3\n0 1 2\n", "vertex 3 belongs to no triangle"),
+        ("vertices 3\n0 0\n1 0\n0 1\ntriangles 0\nboundary 0\n",
+         "mesh has no triangle"),
+        ("vertices 0\ntriangles 0\nboundary 0\n", "mesh has no triangle"),
+        ("vertices 1\n0 0\ntriangles 1\n0 0 0\nboundary 0\n",
+         "non-positively-oriented or degenerate triangle")),
+        ids=("unused-vertex", "no-triangle", "empty", "degenerate"))
+    @pytest.mark.parametrize("command", ("run", "mesh-info"))
+    def test_malformed_mesh_file_exit_2(self, tmp_path, capsys, command,
+                                        text, message):
+        mesh_path = tmp_path / "bad.mesh"
+        mesh_path.write_text(text)
+        path = write_config(tmp_path, TINY + "mesh_file = %s\n" % mesh_path)
+        code = cli.main([command, "--config", path]
+                        + (["--out", str(tmp_path / "out")]
+                           if command == "run" else []))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "config error: mesh file %s: %s\n" % (
+            mesh_path, message)
+        assert "Traceback" not in captured.out + captured.err
+        assert not [files for _, _, files in os.walk(tmp_path)
+                    if "checkpoints.txt" in files]
+
+    @pytest.mark.parametrize("rho,outside", (("1", False), ("0.5", True)))
+    def test_run_samples_compatibility_once(self, tmp_path, monkeypatch,
+                                            rho, outside):
+        calls = []
+        check = graphs.check_compatibility
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(graphs, "check_compatibility", counted)
+        cfg = cli.parse_config(write_config(
+            tmp_path, TINY + "rho = %s\nic = random(0.3, 3)\n" % rho))
+        out = tmp_path / "out"
+        code, _ = cli.execute_run(dataclasses.replace(cfg, out_dir=str(out)),
+                                  echo=lambda *a: None)
+        assert code == 0
+        assert len(calls) == 1
+        assert (out / "summary.txt").read_text().splitlines()[-1] \
+            == "outside_theory=%s" % outside
+
     def test_determinism(self, tmp_path):
         body = TINY + "ic = random(0.2, 11)\nsource_f = ramp(0.5)\n"
         cfg = cli.parse_config(write_config(tmp_path, body))
-        cli.execute_run(cfg, out_dir=str(tmp_path / "a"),
-                        echo=lambda *a: None)
-        cli.execute_run(cfg, out_dir=str(tmp_path / "b"),
-                        echo=lambda *a: None)
+        for run in ("a", "b"):
+            cli.execute_run(
+                dataclasses.replace(cfg, out_dir=str(tmp_path / run)),
+                echo=lambda *a: None)
         a = (tmp_path / "a" / "run.csv").read_bytes()
         b = (tmp_path / "b" / "run.csv").read_bytes()
         assert a == b
@@ -457,7 +520,6 @@ class TestCmdSweep:
         body = ("mesh_rings = 3\nmesh_sectors = 12\nic = constant(0)\n"
                 "t_final = 0.008\neps = 0.5\n")
         cfg = cli.parse_config(write_config(tmp_path, body))
-        import dataclasses
         cfg = dataclasses.replace(cfg, out_dir=str(tmp_path / "sweep"))
         msgs = []
         code = cli.cmd_sweep(cfg, axis, ladder, echo=msgs.append)
@@ -468,7 +530,6 @@ class TestCmdSweep:
     def test_ladder_validation(self, tmp_path, started_processes):
         cfg = cli.parse_config(write_config(tmp_path, TINY))
         out = tmp_path / "sweep"
-        import dataclasses
         cfg = dataclasses.replace(cfg, out_dir=str(out))
         assert cli.cmd_sweep(cfg, "h", [1e-3, 2e-3, 4e-3],
                              echo=lambda *a: None) == 2
@@ -507,7 +568,6 @@ class TestCmdSweep:
         body = ("mesh_rings = 3\nmesh_sectors = 12\nic = random(0.3, 3)\n"
                 "t_final = 0.004\nnewton_max = 1\n")
         cfg = cli.parse_config(write_config(tmp_path, body))
-        import dataclasses
         cfg = dataclasses.replace(cfg, out_dir=str(tmp_path / "sweep"))
         code = cli.cmd_sweep(cfg, "eps", [0.4, 0.2, 0.1],
                              echo=lambda *a: None)
@@ -644,13 +704,6 @@ class TestCmdContdep:
 class TestSelftestAndInfo:
     def test_selftest_passes(self):
         assert cli.cmd_selftest(echo=lambda *a: None) == 0
-
-    def test_selftest_corrupted_mesh(self, tmp_path):
-        bad = tmp_path / "bad.mesh"
-        bad.write_text("vertices 1\n0 0\ntriangles 1\n0 0 0\nboundary 0\n")
-        msgs = []
-        assert cli.cmd_selftest(mesh_file=str(bad), echo=msgs.append) == 1
-        assert any("diskfem" in m and "FAIL" in m for m in msgs)
 
     def test_selftest_catches_wrong_checkpoint_text(self, monkeypatch):
         monkeypatch.setattr(checkpoint, "format_block", lambda n, t, rows: (

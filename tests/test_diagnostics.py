@@ -34,8 +34,7 @@ def frozen_traj(ops, phi, params, n_states, stride=1):
         states.append(stepper.SchemeState(
             n, n * params.h, phi.copy(), np.zeros(ops.mesh.n_bulk),
             diskfem.trace(ops, phi), np.zeros(ops.mesh.n_bdry)))
-    guard = stepper.GuardReport(math.inf, True)
-    return stepper.Trajectory(states, [None] * n_states, params, guard)
+    return stepper.Trajectory(states, [None] * n_states, params)
 
 
 class TestEnergy:
@@ -55,8 +54,7 @@ class TestEnergy:
         state = zero_state(tiny_ops)
         state.phi[4] = 1.5
         assert diagnostics.energy(state, pair, tiny_ops) == math.inf
-        e_reg = diagnostics.energy(state, pair, tiny_ops,
-                                   mode="regularized", eps=0.5)
+        e_reg = diagnostics.energy(state, pair, tiny_ops, eps=0.5)
         assert math.isfinite(e_reg)
 
     @pytest.mark.parametrize("kind", ("regular", "log", "obstacle"))
@@ -68,8 +66,7 @@ class TestEnergy:
         state.psi = diskfem.trace(tiny_ops, phi)
         et = diagnostics.energy(state, pair, tiny_ops)
         for eps in (0.5, 0.1):
-            ee = diagnostics.energy(state, pair, tiny_ops,
-                                    mode="regularized", eps=eps)
+            ee = diagnostics.energy(state, pair, tiny_ops, eps=eps)
             assert ee <= et + 1e-12
 
 
@@ -78,15 +75,13 @@ class TestLyapunov:
         pair = graphs.preset_pair("regular")
         state = zero_state(tiny_ops, 0.3)
         lyap = diagnostics.lyapunov(state, pair, 0.5, 1e-3, tiny_ops)
-        e = diagnostics.energy(state, pair, tiny_ops, mode="regularized",
-                               eps=0.5)
+        e = diagnostics.energy(state, pair, tiny_ops, eps=0.5)
         assert lyap == pytest.approx(e, rel=1e-14)
 
     def test_viscous_part_is_quadratic(self, tiny_ops, rng):
         pair = graphs.preset_pair("regular")
         state = zero_state(tiny_ops, 0.2)
-        e = diagnostics.energy(state, pair, tiny_ops, mode="regularized",
-                               eps=0.5)
+        e = diagnostics.energy(state, pair, tiny_ops, eps=0.5)
         state.mu = rng.standard_normal(tiny_ops.mesh.n_bulk)
         one = diagnostics.lyapunov(state, pair, 0.5, 1e-3, tiny_ops) - e
         state.mu = 2.0 * state.mu
@@ -110,7 +105,7 @@ class TestApriori:
         data, params, traj = run_tiny(tiny_ops, steps=8, amp=0.3)
         full = diagnostics.apriori_monitor(traj, data.pair, params, tiny_ops)
         short = stepper.Trajectory(traj.states[:4], traj.reports[:4],
-                                   params, traj.guard)
+                                   params)
         part = diagnostics.apriori_monitor(short, data.pair, params,
                                            tiny_ops)
         for key, val in part.as_dict().items():
@@ -231,6 +226,37 @@ class TestContDep:
         assert rep.rhs == pytest.approx(want, rel=1e-9)
         assert rep.rhs_terms["dual_psi0"] == 0.0
         assert rep.rhs_terms["l2_dual_f"] == 0.0
+
+    def test_boundary_initial_level_is_the_trace(self, tiny_ops):
+        # equal bulk and boundary means, different values on the loop
+        pair = graphs.preset_pair("regular")
+        params = stepper.SchemeParams(h=1e-3, t_final=4e-3, tau=0.1,
+                                      sigma=0.1, eps=0.5)
+        loop = tiny_ops.mesh.boundary_loop
+        x = tiny_ops.mesh.vertices[:, 0]
+        a = np.zeros(tiny_ops.mesh.n_bulk)
+        b = 1e-3 * (x - diskfem.mean(tiny_ops.bulk, x))
+        dataA = stepper.problem_data(tiny_ops, a, pair)
+        dataB = stepper.problem_data(tiny_ops, b, pair)
+        rep = diagnostics.cont_dep(frozen_traj(tiny_ops, a, params, 5),
+                                   frozen_traj(tiny_ops, b, params, 5),
+                                   dataA, dataB, tiny_ops)
+        want = diskfem.dual_norm(tiny_ops.bdry, a[loop] - b[loop])
+        assert want > 0.0
+        assert rep.rhs_terms["dual_psi0"] == want
+        # the same bulk mean, a boundary mean shifted by 0.1
+        c = np.zeros(tiny_ops.mesh.n_bulk)
+        c[loop] = 0.1
+        interior = np.ones(tiny_ops.mesh.n_bulk, dtype=bool)
+        interior[loop] = False
+        c[interior] -= diskfem.mean(tiny_ops.bulk, c) \
+            * tiny_ops.bulk.measure / tiny_ops.bulk.lumped[interior].sum()
+        assert abs(diskfem.mean(tiny_ops.bulk, c)) < 1e-14
+        dataC = stepper.problem_data(tiny_ops, c, pair)
+        with pytest.raises(MeanMismatch, match="boundary=1.000e-01"):
+            diagnostics.cont_dep(frozen_traj(tiny_ops, a, params, 5),
+                                 frozen_traj(tiny_ops, c, params, 5),
+                                 dataA, dataC, tiny_ops)
 
     def test_ratio_invariant_under_stride(self, tiny_ops):
         # frozen pairs make the metric exactly stride-independent
@@ -415,8 +441,7 @@ class TestMakeRecord:
             assert all(math.isfinite(v) for v in want[3:])
             # the public readers sum the same terms
             assert diagnostics.energy(state, pair, ops) == e_true
-            assert diagnostics.energy(state, pair, ops, mode="regularized",
-                                      eps=eps) == e_eps
+            assert diagnostics.energy(state, pair, ops, eps=eps) == e_eps
             assert diagnostics.lyapunov(state, pair, eps, h, ops) == lyap
 
     def test_one_stiffness_product_and_primitive_per_side(self,

@@ -73,8 +73,7 @@ def test_cont_dep_frozen_pair_closed_form(tiny_ops):
             k, k * params.h, phi.copy(), np.zeros_like(phi),
             diskfem.trace(tiny_ops, phi), np.zeros(tiny_ops.mesh.n_bdry))
             for k in range(6)]
-        return stepper.Trajectory(states, [None] * 6, params,
-                                  stepper.GuardReport(math.inf, True))
+        return stepper.Trajectory(states, [None] * 6, params)
 
     dataA = stepper.problem_data(tiny_ops, phiA, pair)
     dataB = stepper.problem_data(tiny_ops, phiA + d, pair)

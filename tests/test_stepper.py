@@ -167,27 +167,6 @@ class TestValidate:
         assert not rep.ok
         assert any("mean" in v for v in rep.violations)
 
-    def test_trace_mismatch_reports_node(self, tiny_ops):
-        pair = graphs.preset_pair("regular")
-        phi0 = np.zeros(tiny_ops.mesh.n_bulk)
-        data = stepper.problem_data(tiny_ops, phi0, pair)
-        data.psi0 = data.psi0.copy()
-        data.psi0[3] = 0.5
-        params = stepper.SchemeParams(h=1e-3, t_final=1e-2)
-        rep = stepper.validate(data, params, tiny_ops)
-        assert not rep.ok
-        assert any("node 3" in v for v in rep.violations)
-
-    def test_short_psi0_reports_violation(self, tiny_ops):
-        pair = graphs.preset_pair("regular")
-        data = stepper.problem_data(tiny_ops, np.zeros(tiny_ops.mesh.n_bulk),
-                                    pair)
-        data.psi0 = data.psi0[:-1]
-        params = stepper.SchemeParams(h=1e-3, t_final=1e-2)
-        rep = stepper.validate(data, params, tiny_ops)
-        assert not rep.ok
-        assert any("trace" in v for v in rep.violations)
-
     def test_infinite_initial_energy_fails(self, tiny_ops):
         pair = graphs.preset_pair("obstacle")
         phi0 = np.zeros(tiny_ops.mesh.n_bulk)
@@ -282,12 +261,10 @@ class TestSolveStep:
     def test_matches_dense_fixed_point_oracle(self, tiny_ops, kind):
         data, params = tiny_problem(tiny_ops, kind)
         state = stepper.initial_state(data, tiny_ops)
-        fn = np.zeros(tiny_ops.mesh.n_bulk)
-        gn = np.zeros(tiny_ops.mesh.n_bdry)
-        new, _ = stepper.solve_step(state, data, params, tiny_ops,
-                                    fn=fn, gn=gn)
+        new, _ = stepper.solve_step(state, data, params, tiny_ops)
         phi_o, mu_o, w_o = reference.fixed_point_step(
-            state, data, params, tiny_ops, fn, gn)
+            state, data, params, tiny_ops, np.zeros(tiny_ops.mesh.n_bulk),
+            np.zeros(tiny_ops.mesh.n_bdry))
         assert np.abs(new.phi - phi_o).max() < 1e-8
         assert np.abs(new.mu - mu_o).max() < 1e-8
         assert np.abs(new.w - w_o).max() < 1e-8
@@ -303,13 +280,13 @@ class TestSolveStep:
         # that dropped rho from its parameter eps * rho would agree
         x = tiny_ops.mesh.vertices[:, 0]
         amp = 1.5 if pair.name == "regular" else 0.5
-        data = stepper.problem_data(tiny_ops, amp * np.sin(3.0 * x), pair)
+        fn, gn = 1000.0 * x, 1000.0 * x[tiny_ops.mesh.boundary_loop]
+        data = stepper.problem_data(tiny_ops, amp * np.sin(3.0 * x), pair,
+                                    f=fn, g=gn)
         params = stepper.SchemeParams(h=1e-3, t_final=1e-3, tau=0.1,
                                       sigma=0.1, eps=0.1)
-        fn, gn = 1000.0 * x, 1000.0 * x[tiny_ops.mesh.boundary_loop]
         state = stepper.initial_state(data, tiny_ops)
-        new, _ = stepper.solve_step(state, data, params, tiny_ops,
-                                    fn=fn, gn=gn)
+        new, _ = stepper.solve_step(state, data, params, tiny_ops)
         phi_o, mu_o, w_o = reference.fixed_point_step(
             state, data, params, tiny_ops, fn, gn)
         assert np.abs(new.phi - phi_o).max() < 1e-8
@@ -341,11 +318,11 @@ class TestSolveStep:
         # factored R J is not symmetric; the second step factors there
         x = tiny_ops.mesh.vertices[:, 0]
         fn, gn = 1000.0 * x, 1000.0 * x[tiny_ops.mesh.boundary_loop]
-        data, params = tiny_problem(tiny_ops, "obstacle", eps=0.1)
+        data, params = tiny_problem(tiny_ops, "obstacle", f=fn, g=gn,
+                                    eps=0.1)
         state = stepper.initial_state(data, tiny_ops)
         for _ in range(2):
-            new, _ = stepper.solve_step(state, data, params, tiny_ops,
-                                        fn=fn, gn=gn)
+            new, _ = stepper.solve_step(state, data, params, tiny_ops)
             phi_o, mu_o, w_o = reference.fixed_point_step(
                 state, data, params, tiny_ops, fn, gn)
             assert np.abs(new.phi - phi_o).max() < 1e-8
@@ -437,14 +414,13 @@ class TestSolveStep:
         fn = np.zeros(tiny_ops.mesh.n_bulk)
         gn = np.zeros(tiny_ops.mesh.n_bdry)
         if start == "solution":
-            solved, _ = stepper.solve_step(state, data, params, tiny_ops,
-                                           fn=fn, gn=gn)
+            solved, _ = stepper.solve_step(state, data, params, tiny_ops)
             guess = np.concatenate([solved.phi, solved.mu, solved.w])
         else:
             guess = np.full(2 * tiny_ops.mesh.n_bulk + tiny_ops.mesh.n_bdry,
                             start)
         new, report = stepper.solve_step(state, data, params, tiny_ops,
-                                         fn=fn, gn=gn, guess=guess)
+                                         guess=guess)
         if start == "solution":
             assert report.newton_iters <= 1
         phi_o, mu_o, w_o = reference.fixed_point_step(
@@ -606,9 +582,8 @@ class TestRun:
     def test_zero_viscosity_marked_outside_theory(self, tiny_ops):
         data, params = tiny_problem(tiny_ops, tau=0.0, sigma=0.0,
                                     t_final=2e-3)
-        traj = stepper.run(data, params, tiny_ops)
-        assert traj.outside_theory
-        assert traj.ok
+        assert not stepper.step_guard(params, data.pair).ok
+        assert stepper.run(data, params, tiny_ops).ok
 
     def test_lyapunov_monotone_without_sources(self, tiny_ops):
         data, params = tiny_problem(tiny_ops, amp=0.25, seed=3,
