@@ -330,19 +330,17 @@ class Writer(_Closing):
     """The writer process of one command, shared by all its streams.
 
     The process starts at once, so that its numpy import overlaps the
-    caller's own work.  A lock keeps each message on the shared pipe
-    whole when streams are fed from several threads.  Use the writer as
-    a context manager, so that the process never outlives the command:
-    leaving it ends the pipe and reaps the process.  A writer that never
-    received a message has nothing to finish and is killed.
+    caller's own work.  Its streams are fed from one thread, one message
+    at a time.  Use the writer as a context manager, so that the process
+    never outlives the command: leaving it ends the pipe and reaps the
+    process.  A writer that never received a message has nothing to
+    finish and is killed.
     """
 
     def __init__(self):
         # only the parent needs these
         import fcntl
         import subprocess
-        import threading
-        self._lock = threading.Lock()
         self._used = False
         # set while a message is on its way, and left set when sending it
         # failed: a message cut short garbles every later one
@@ -362,24 +360,23 @@ class Writer(_Closing):
     def _exchange(self, path, message, answered):
         """Send ``message`` for the file ``path`` whole, and return the
         writer's answer to it when it has one."""
-        with self._lock:
-            if self._broken:
+        if self._broken:
+            raise OSError("checkpoint writer for %s stopped" % path)
+        self._used = self._broken = True
+        pipe = self._proc.stdin
+        try:
+            pipe.write(message)
+            pipe.flush()
+        except BrokenPipeError:
+            raise OSError("checkpoint writer for %s stopped"
+                          % path) from None
+        reason = b""
+        if answered:
+            head = self._proc.stdout.read(_REPLY.size)
+            if len(head) < _REPLY.size:
                 raise OSError("checkpoint writer for %s stopped" % path)
-            self._used = self._broken = True
-            pipe = self._proc.stdin
-            try:
-                pipe.write(message)
-                pipe.flush()
-            except BrokenPipeError:
-                raise OSError("checkpoint writer for %s stopped"
-                              % path) from None
-            reason = b""
-            if answered:
-                head = self._proc.stdout.read(_REPLY.size)
-                if len(head) < _REPLY.size:
-                    raise OSError("checkpoint writer for %s stopped" % path)
-                reason = self._proc.stdout.read(*_REPLY.unpack(head))
-            self._broken = False
+            reason = self._proc.stdout.read(*_REPLY.unpack(head))
+        self._broken = False
         return reason.decode("utf-8", "replace")
 
     def send(self, path, n, t, rows):

@@ -11,7 +11,6 @@ import dataclasses
 import math
 import os
 import sys
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -292,13 +291,12 @@ def _admit(cfg, datas, params, ops, echo):
     return True, lines, guard
 
 
-def execute_on(cfg, ops, out, writer, echo=print, hooks=()):
+def execute_on(cfg, ops, out, writer, echo=print):
     """:func:`execute_run` on operators already assembled from ``cfg``,
     with the checkpoints sent through the command's
-    :class:`checkpoint.Writer` ``writer`` and ``hooks`` run after the
-    run's own.  ``summary.txt`` is written on every ending, and its last
-    lines name it; an exception other than an interrupt adds ``stopped at
-    step k: <cause>`` and goes on."""
+    :class:`checkpoint.Writer` ``writer``.  ``summary.txt`` is written on
+    every ending, and its last lines name it; an exception other than an
+    interrupt adds ``stopped at step k: <cause>`` and goes on."""
     os.makedirs(out, exist_ok=True)
     params = build_params(cfg)
     data = build_problem(cfg, ops)
@@ -327,7 +325,7 @@ def execute_on(cfg, ops, out, writer, echo=print, hooks=()):
             rows = diagnostics.csv_hook(fh, data.pair, params, ops,
                                         stride=cfg.stride)
             traj = stepper.run(data, params, ops,
-                               hooks=(stream, rows, note) + tuple(hooks))
+                               hooks=(stream, rows, note))
         if not traj.ok:
             summary.append("solver failure at step %d: %s"
                            % (traj.failed_step, traj.failure))
@@ -371,7 +369,11 @@ _SWEEP_AXES = {"h": ("h",), "eps": ("eps",), "visc": ("tau", "sigma")}
 
 
 def cmd_sweep(cfg, axis, ladder, workers=1, echo=print):
-    """Run a decreasing ladder along one axis and emit a convergence table."""
+    """Run a decreasing ladder along one axis and emit a convergence table.
+
+    The members run one after another; Ctrl-C or an exception in one
+    stops the sweep.  ``workers`` is unread: only perfbench/ passes it.
+    """
     ladder = list(ladder)
     if axis not in _SWEEP_AXES:
         echo("unknown sweep axis %r (expected one of %s)"
@@ -381,9 +383,6 @@ def cmd_sweep(cfg, axis, ladder, workers=1, echo=print):
     if (len(ladder) < 3
             or any(not b < a for a, b in zip(ladder, ladder[1:]))):
         echo("ladder must be strictly decreasing with at least 3 values")
-        return 2
-    if workers < 1:
-        echo("workers must be at least 1")
         return 2
     members = [replace(cfg, **dict.fromkeys(_SWEEP_AXES[axis], val))
                for val in ladder]
@@ -400,39 +399,16 @@ def cmd_sweep(cfg, axis, ladder, workers=1, echo=print):
                 echo("h ladder members must nest (integer ratios)")
                 return 2
     out_root = cfg.out_dir
-    jobs = [(m, os.path.join(out_root, "member_%02d" % i))
-            for i, m in enumerate(members)]
-
-    stop = threading.Event()
-
-    def halt(state, report):
-        if stop.is_set():
-            raise KeyboardInterrupt
-
-    from concurrent.futures import ThreadPoolExecutor
     # every member's checkpoints go through one writer, started before
     # the assembly so that its numpy import overlaps it
     with checkpoint.Writer() as writer:
         # the sweep axes (h, eps, viscosities) never change the mesh, so
         # all members and the post-processing share one set of operators
         ops = diskfem.assemble(build_mesh(cfg))
-
-        def run_member(job):
-            member, out = job
-            return execute_on(member, ops, out, writer,
-                              echo=lambda *_: None, hooks=(halt,))
-
-        # members run on pool threads for any worker count; Ctrl-C
-        # reaches this thread, which then stops the running members at
-        # their next step and cancels the others, as any failure does
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_member, job) for job in jobs]
-            try:
-                results = [f.result() for f in futures]
-            except BaseException:
-                stop.set()
-                pool.shutdown(cancel_futures=True)
-                raise
+        results = [execute_on(member, ops,
+                              os.path.join(out_root, "member_%02d" % i),
+                              writer, echo=lambda *_: None)
+                   for i, member in enumerate(members)]
     # exit code 0 is exactly a finished run with every step converged
     trajs = [traj if code == 0 else None for code, traj in results]
 
@@ -502,16 +478,17 @@ def cmd_contdep(cfg_a, cfg_b, echo=print):
     data_b = build_problem(cfg_b, ops)
     if not _admit(cfg_a, [data_a, data_b], params, ops, echo)[0]:
         return 2
+    try:
+        diagnostics.check_means(data_a, data_b, ops)
+    except MeanMismatch as exc:
+        echo("mean mismatch: %s" % exc)
+        return 2
     traj_a = stepper.run(data_a, params, ops)
     traj_b = stepper.run(data_b, params, ops)
     if not (traj_a.ok and traj_b.ok):
         echo("solver failure during paired runs")
         return 3
-    try:
-        rep = diagnostics.cont_dep(traj_a, traj_b, data_a, data_b, ops)
-    except MeanMismatch as exc:
-        echo("mean mismatch: %s" % exc)
-        return 2
+    rep = diagnostics.cont_dep(traj_a, traj_b, data_a, data_b, ops)
     ratio = "n/a" if rep.ratio is None else "%.17g" % rep.ratio
     echo("lhs=%.17g rhs=%.17g ratio=%s" % (rep.lhs, rep.rhs, ratio))
     if rep.lhs <= cfg_a.ratio_cap * rep.rhs or rep.lhs == 0.0:
@@ -727,7 +704,6 @@ def main(argv=None):
                          required=True)
     p_sweep.add_argument("--ladder", required=True,
                          help="comma-separated decreasing values")
-    p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.add_argument("--out", dest="out_dir")
 
     p_cd = sub.add_parser("contdep", help="paired-run stability test")
@@ -757,7 +733,7 @@ def main(argv=None):
             except ValueError:
                 raise ParseError("--ladder must be comma-separated numbers, "
                                  "got %r" % args.ladder) from None
-            return cmd_sweep(cfg, args.axis, ladder, workers=args.workers)
+            return cmd_sweep(cfg, args.axis, ladder)
         if args.command == "contdep":
             if len(args.config) != 2:
                 parser.error("contdep needs exactly two --config arguments")

@@ -199,6 +199,20 @@ def _check_same_grid(trajA, trajB):
         raise GridMismatch("trajectories live on different meshes")
 
 
+def check_means(dataA, dataB, ops):
+    """The initial states of a pair of problems; :class:`MeanMismatch`
+    unless both start with the same mean on each side."""
+    initA = stepper.initial_state(dataA, ops)
+    initB = stepper.initial_state(dataB, ops)
+    gaps = [abs(diskfem.mean(part, getattr(initA, val))
+                - diskfem.mean(part, getattr(initB, val)))
+            for part, val, _ in sides(ops)]
+    if any(gap > 1e-10 for gap in gaps):
+        raise MeanMismatch("initial mean gap bulk=%.3e boundary=%.3e"
+                           % tuple(gaps))
+    return initA, initB
+
+
 def cont_dep(trajA, trajB, dataA, dataB, ops):
     """Continuous-dependence metric for two runs with matching means.
 
@@ -210,14 +224,7 @@ def cont_dep(trajA, trajB, dataA, dataB, ops):
     against constants).
     """
     _check_same_grid(trajA, trajB)
-    initA = stepper.initial_state(dataA, ops)
-    initB = stepper.initial_state(dataB, ops)
-    gaps = [abs(diskfem.mean(part, getattr(initA, val))
-                - diskfem.mean(part, getattr(initB, val)))
-            for part, val, _ in sides(ops)]
-    if any(gap > 1e-10 for gap in gaps):
-        raise MeanMismatch("initial mean gap bulk=%.3e boundary=%.3e"
-                           % tuple(gaps))
+    initA, initB = check_means(dataA, dataB, ops)
     tA = trajA.times()
     h_rec = float(tA[1] - tA[0]) if len(tA) > 1 else trajA.params.h
     h = trajA.params.h

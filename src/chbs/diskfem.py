@@ -9,7 +9,6 @@ data and the dual norms they induce are written once against it.
 """
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,8 +190,8 @@ def load_mesh(path):
 class Part:
     """One side, the disk or its boundary curve, with its P1 operators.
 
-    Factorizations are built on first use under a lock and are read-only
-    afterwards, so a part can be shared across threads.
+    Factorizations are built on first use and are read-only afterwards,
+    so the runs of one command share them.
     """
 
     def __init__(self, name, M, K):
@@ -202,23 +201,21 @@ class Part:
         self.lumped = np.asarray(M.sum(axis=1)).ravel()
         self.measure = float(self.lumped.sum())
         self._cache = {}
-        self._lock = threading.Lock()
 
     def solver(self, kind):
         """Factorization of ``M`` (``"mass"``) or the stiffness bordered
         by the lumped-mass row (``"green"``)."""
-        with self._lock:
-            if kind not in self._cache:
-                if kind == "mass":
-                    A = self.M
-                elif kind == "green":
-                    m = sp.csc_matrix(self.lumped[:, None])
-                    A = sp.bmat([[self.K, m], [m.T, None]], format="csc")
-                else:
-                    raise ValueError("unknown factorization %r" % kind)
-                self._cache[kind] = _FactoredMatrix(A.tocsc(),
-                                                    spd=kind != "green")
-            return self._cache[kind]
+        if kind not in self._cache:
+            if kind == "mass":
+                A = self.M
+            elif kind == "green":
+                m = sp.csc_matrix(self.lumped[:, None])
+                A = sp.bmat([[self.K, m], [m.T, None]], format="csc")
+            else:
+                raise ValueError("unknown factorization %r" % kind)
+            self._cache[kind] = _FactoredMatrix(A.tocsc(),
+                                                spd=kind != "green")
+        return self._cache[kind]
 
 
 class DiscreteOperators:

@@ -5,7 +5,6 @@ import io
 import platform
 import resource
 import subprocess
-import sys
 import threading
 from types import SimpleNamespace
 
@@ -20,7 +19,7 @@ from conftest import printf, printf_blocks
 # what the writer process may import: it starts with -I -S, and finds
 # numpy in the directory of the parent's numpy
 WRITER_IMPORTS = {"fcntl", "numpy", "os", "signal", "struct", "subprocess",
-                  "sys", "threading"}
+                  "sys"}
 
 
 def assert_printf(text, values):
@@ -308,10 +307,11 @@ def test_run_that_raises_leaves_the_blocks_before(tiny_ops, tmp_path):
     assert path.read_text() == printf_blocks(seen)
 
 
-def test_threads_sharing_a_writer_each_get_their_own_file(tmp_path):
-    # more streaming threads than cores, switching as often as the
-    # interpreter allows: every file holds exactly its own blocks, and
-    # only the stream whose file cannot be written hears of a failure
+def test_streams_sharing_a_writer_each_get_their_own_file(tmp_path):
+    # the streams take turns block by block, so that their messages
+    # interleave on the one pipe: every file holds exactly its own
+    # blocks, and only the stream whose file cannot be written hears of
+    # a failure
     gen = np.random.default_rng(9)
     paths = [tmp_path / ("f%d.txt" % i) for i in range(5)] + [tmp_path]
     states = {path: [SimpleNamespace(
@@ -320,30 +320,18 @@ def test_threads_sharing_a_writer_each_get_their_own_file(tmp_path):
                                                (900, 900, 60, 60))})
         for n in range(12)] for path in paths}
     errors = {}
-
-    def feed(writer, path):
-        try:
-            with checkpoint.Stream(writer, path) as stream:
-                for state in states[path]:
-                    stream(state, None)
-        except OSError as exc:
-            errors[path] = exc
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        # the writer's exit status reports the failed file too
-        with pytest.raises(OSError, match="exited with status 1"), \
-                checkpoint.Writer() as writer:
-            threads = [threading.Thread(target=feed, args=(writer, path))
-                       for path in paths]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-            assert not any(thread.is_alive() for thread in threads)
-    finally:
-        sys.setswitchinterval(interval)
+    # the writer's exit status reports the failed file too
+    with pytest.raises(OSError, match="exited with status 1"), \
+            checkpoint.Writer() as writer:
+        streams = {path: checkpoint.Stream(writer, path) for path in paths}
+        for n in range(12):
+            for path, stream in streams.items():
+                stream(states[path][n], None)
+        for path, stream in streams.items():
+            try:
+                stream.close()
+            except OSError as exc:
+                errors[path] = exc
     assert list(errors) == [tmp_path]
     assert "checkpoint writer for %s: " % tmp_path in str(errors[tmp_path])
     for path in paths[:-1]:

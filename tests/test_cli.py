@@ -1,5 +1,4 @@
 import dataclasses
-import filecmp
 import math
 import os
 import signal
@@ -27,17 +26,6 @@ def write_config(tmp_path, body, name="run.cfg"):
     path = tmp_path / name
     path.write_text(body)
     return str(path)
-
-
-def assert_same_tree(a, b):
-    """Both directories hold the same files, byte for byte."""
-    cmp = filecmp.dircmp(a, b)
-    assert not (cmp.left_only or cmp.right_only or cmp.funny_files)
-    _, mismatch, errors = filecmp.cmpfiles(a, b, cmp.common_files,
-                                           shallow=False)
-    assert not (mismatch or errors), mismatch + errors
-    for sub in cmp.common_dirs:
-        assert_same_tree(a / sub, b / sub)
 
 
 class TestParseConfig:
@@ -594,8 +582,7 @@ class TestCmdSweep:
         bad = out / "member_02" / "checkpoints.txt"
         bad.mkdir(parents=True)
         code = cli.main(["sweep", "--config", path, "--axis", "eps",
-                         "--ladder", "0.4,0.2,0.1", "--workers", "2",
-                         "--out", str(out)])
+                         "--ladder", "0.4,0.2,0.1", "--out", str(out)])
         assert code == 2
         err = capfd.readouterr().err
         assert "file error: checkpoint writer for %s" % bad in err
@@ -609,8 +596,28 @@ class TestCmdSweep:
             assert ((member / "checkpoints.txt").read_text()
                     == printf_blocks(trajs[eps].states, stride=2))
 
+    def test_failing_member_stops_the_sweep(self, tmp_path, capfd,
+                                            started_processes):
+        path = write_config(tmp_path, TINY + "ic = random(0.3, 3)\n")
+        out = tmp_path / "sweep"
+        bad = out / "member_00" / "checkpoints.txt"
+        bad.mkdir(parents=True)
+        assert cli.main(["sweep", "--config", path, "--axis", "eps",
+                         "--ladder", "0.4,0.2,0.1", "--out", str(out)]) == 2
+        assert "file error: checkpoint writer for %s" % bad \
+            in capfd.readouterr().err
+        last = (bad.parent / "summary.txt").read_text().splitlines()[-1]
+        assert last.startswith("stopped at step 4: OSError: checkpoint "
+                               "writer for %s: " % bad)
+        # later members never start
+        assert not (out / "member_01").exists()
+        assert not (out / "member_02").exists()
+        assert not (out / "table.csv").exists()
+        assert len(started_processes) == 1
+
     def test_ctrl_c_stops_the_running_members(self, tmp_path):
-        # long enough that no member ends before the interrupt
+        # long enough that the first member does not end before the
+        # interrupt
         body = ("mesh_rings = 8\nmesh_sectors = 32\npotential = log\n"
                 "t_final = 3\nic = random(0.1, 4)\n")
         path = write_config(tmp_path, body)
@@ -621,15 +628,14 @@ class TestCmdSweep:
                 "from chbs.cli import main; sys.exit(main(sys.argv[1:]))")
         proc = subprocess.Popen(
             [sys.executable, "-c", code, "sweep", "--config", path,
-             "--axis", "eps", "--ladder", "0.4,0.2,0.1", "--workers", "2",
-             "--out", str(out)],
+             "--axis", "eps", "--ladder", "0.4,0.2,0.1", "--out", str(out)],
             env=dict(os.environ, PYTHONPATH=os.path.dirname(
                 os.path.dirname(cli.__file__))),
             stderr=subprocess.PIPE, text=True)
-        tables = [out / ("member_%02d" % i) / "run.csv" for i in (0, 1)]
+        member = out / "member_00"
+        table = member / "run.csv"
         try:
-            while not all(t.exists() and t.read_text().count("\n") > 3
-                          for t in tables):
+            while not (table.exists() and table.read_text().count("\n") > 3):
                 assert proc.poll() is None, proc.stderr.read()
                 time.sleep(0.01)
             proc.send_signal(signal.SIGINT)
@@ -639,17 +645,21 @@ class TestCmdSweep:
             proc.wait()
         with proc.stderr:
             assert "interrupted" in proc.stderr.read()
-        for table in tables:
-            last = (table.parent / "summary.txt").read_text().splitlines()[-1]
-            assert last.startswith("interrupted at step ")
-            k = int(last.rsplit(" ", 1)[1])
-            assert k < 3000
-            rows = table.read_text().splitlines()[1:]
-            assert [int(row.split(",")[0]) for row in rows] \
-                == list(range(k + 1))
-            # the blocks of the states reached, each one complete
-            states = stepper.load_states(table.parent / "checkpoints.txt")
-            assert [s.n for s in states] == list(range(k + 1))
+        last = (member / "summary.txt").read_text().splitlines()[-1]
+        assert last.startswith("interrupted at step ")
+        k = int(last.rsplit(" ", 1)[1])
+        assert k < 3000
+        # the interrupt lands between two hooks of one state: the row and
+        # the block of state k + 1 may already be out
+        rows = [int(row.split(",")[0])
+                for row in table.read_text().splitlines()[1:]]
+        assert rows in (list(range(k + 1)), list(range(k + 2)))
+        # the blocks sent, each one complete
+        states = stepper.load_states(member / "checkpoints.txt")
+        assert [s.n for s in states] in (list(range(k + 1)),
+                                         list(range(k + 2)))
+        # later members never start
+        assert not (out / "member_01").exists()
         assert not (out / "member_02").exists()
         assert not (out / "table.csv").exists()
 
@@ -699,6 +709,25 @@ class TestCmdContdep:
         b = cli.parse_config(write_config(
             tmp_path, TINY + "ic = constant(0.2)\n", "b.cfg"))
         assert cli.cmd_contdep(a, b, echo=lambda *a: None) == 2
+
+    def test_mean_mismatch_refused_before_either_run(self, tmp_path,
+                                                     monkeypatch):
+        a = cli.parse_config(write_config(
+            tmp_path, TINY + "ic = random(0.1, 3)\n", "a.cfg"))
+        b = cli.parse_config(write_config(
+            tmp_path, TINY + "ic = constant(0.2)\n", "b.cfg"))
+        calls = []
+        run = stepper.run
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(stepper, "run", counted)
+        msgs = []
+        assert cli.cmd_contdep(a, b, echo=msgs.append) == 2
+        assert msgs[-1].startswith("mean mismatch: initial mean gap bulk=")
+        assert calls == []
 
 
 class TestSelftestAndInfo:
@@ -766,14 +795,6 @@ class TestMain:
         path = write_config(tmp_path, "tau = 9\n")
         assert cli.main(["run", "--config", path]) == 2
 
-    def test_sweep_workers_via_main(self, tmp_path):
-        path = write_config(tmp_path, TINY + "ic = random(0.2, 6)\n")
-        for workers in ("1", "2"):
-            assert cli.main(["sweep", "--config", path, "--axis", "eps",
-                             "--ladder", "0.4,0.2,0.1", "--workers", workers,
-                             "--out", str(tmp_path / workers)]) == 0
-        assert_same_tree(tmp_path / "1", tmp_path / "2")
-
     def test_mesh_info_via_main(self, tmp_path):
         mesh = diskfem.gen_disk_mesh(2, 8)
         mpath = tmp_path / "m.mesh"
@@ -786,10 +807,6 @@ class TestMain:
         (TINY, ["run", "--config", "missing.cfg"]),
         (TINY + "mesh_file = missing.mesh\n", ["run"]),
         (TINY, ["sweep", "--axis", "eps", "--ladder", "0.2,0.1,abc"]),
-        (TINY, ["sweep", "--axis", "eps", "--ladder", "0.4,0.2,0.1",
-                "--workers", "0"]),
-        (TINY, ["sweep", "--axis", "eps", "--ladder", "0.4,0.2,0.1",
-                "--workers", "-3"]),
         (TINY + "ic = constant(1, 2)\n", ["run"]),
         (TINY + "ic = radial-bump(1, 0.5, 3)\n", ["run"]),
         (TINY + "ic = random(0.1, 2, 3)\n", ["run"]),
@@ -802,9 +819,9 @@ class TestMain:
         (TINY + "newton_max = -3\n", ["run"]),
         (TINY, ["sweep", "--axis", "eps", "--ladder", "nan,0.2,0.1"])),
         ids=("rings-0", "sectors-2", "missing-config", "missing-mesh-file",
-             "ladder-not-numeric", "workers-0", "workers-negative",
-             "ic-constant-two-args", "ic-bump-three-args",
-             "ic-random-three-args", "ic-random-fractional-seed",
+             "ladder-not-numeric", "ic-constant-two-args",
+             "ic-bump-three-args", "ic-random-three-args",
+             "ic-random-fractional-seed",
              "ic-random-nan-seed", "source-zero-one-arg",
              "source-constant-two-args", "source-ramp-two-args",
              "newton-max-0", "newton-max-negative", "ladder-nan"))

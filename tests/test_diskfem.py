@@ -1,8 +1,6 @@
 import ast
 import math
 import os
-import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -173,19 +171,13 @@ class TestMeans:
                                 x[desk_ops.mesh.boundary_loop])) < 1e-10
 
 
-def test_concurrent_first_use_builds_one_factorization():
-    # sweep members share one set of operators, so several threads can
-    # ask for a factorization before it exists; all must get the same one
-    ops = diskfem.assemble(diskfem.gen_disk_mesh(20, 80))
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            got = list(pool.map(lambda _: ops.bulk.solver("mass"),
-                                range(8), timeout=60))
-    finally:
-        sys.setswitchinterval(old)
-    assert all(g is got[0] for g in got)
+def test_solver_is_built_once():
+    # the runs of one command share a part's factorizations
+    ops = diskfem.assemble(diskfem.gen_disk_mesh(3, 12))
+    for part in (ops.bulk, ops.bdry):
+        for kind in ("mass", "green"):
+            assert part.solver(kind) is part.solver(kind)
+        assert part.solver("mass") is not part.solver("green")
 
 
 class TestGreen:

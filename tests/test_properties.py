@@ -1,7 +1,7 @@
-"""Cross-module properties: concurrency, closed forms, edge times."""
+"""Cross-module properties: shared operators, closed forms, edge times."""
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -89,54 +89,52 @@ def test_cont_dep_frozen_pair_closed_form(tiny_ops):
     assert rep.rhs == pytest.approx(dual_b + dual_g, rel=1e-12)
 
 
-def test_concurrent_runs_match_sequential(tiny_ops):
-    # distinct runs share the immutable operators; threaded execution
-    # must reproduce the sequential trajectories bitwise
-    pair = graphs.preset_pair("regular")
+def test_runs_on_shared_ops_match_fresh_ops():
+    # the runs of one command share its operators and their cached
+    # factorizations; no run may depend on which ran before it
+    mesh = diskfem.gen_disk_mesh(2, 8)
     params = stepper.SchemeParams(h=1e-3, t_final=5e-3, tau=0.1, sigma=0.1,
                                   eps=0.5)
+    cases = [("regular", 1), ("log", 2), ("obstacle", 3), ("regular", 4)]
 
-    def one(seed):
+    def one(ops, kind, seed):
         gen = np.random.default_rng(seed)
-        phi0 = 0.2 * gen.uniform(-1, 1, tiny_ops.mesh.n_bulk)
-        data = stepper.problem_data(tiny_ops, phi0, pair)
-        return stepper.run(data, params, tiny_ops)
+        phi0 = 0.2 * gen.uniform(-1, 1, mesh.n_bulk)
+        data = stepper.problem_data(ops, phi0, graphs.preset_pair(kind))
+        traj = stepper.run(data, params, ops)
+        assert traj.ok
+        return traj
 
-    sequential = [one(seed) for seed in (1, 2, 3, 4)]
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        threaded = list(pool.map(one, (1, 2, 3, 4)))
-    for a, b in zip(sequential, threaded):
-        assert a.ok and b.ok
-        assert np.array_equal(a.states[-1].phi, b.states[-1].phi)
-        assert np.array_equal(a.states[-1].w, b.states[-1].w)
+    fresh = {case: one(diskfem.assemble(mesh), *case) for case in cases}
+    for order in (cases, cases[::-1]):
+        shared = diskfem.assemble(mesh)
+        for case in order:
+            got = one(shared, *case)
+            for a, b in zip(fresh[case].states, got.states, strict=True):
+                for name in ("phi", "mu", "psi", "w"):
+                    assert np.array_equal(getattr(a, name),
+                                          getattr(b, name))
 
 
-def test_sweep_workers_match_serial(tmp_path, started_processes):
-    body = ("mesh_rings = 3\nmesh_sectors = 12\nic = random(0.2, 4)\n"
-            "t_final = 0.004\neps = 0.5\n")
+def test_sweep_members_match_standalone_runs(tmp_path):
+    body = ("mesh_rings = 3\nmesh_sectors = 12\npotential = log\n"
+            "ic = random(0.2, 4)\nt_final = 0.004\nstride = 2\n")
     cfg_path = tmp_path / "c.cfg"
     cfg_path.write_text(body)
-    import dataclasses
     cfg = cli.parse_config(str(cfg_path))
-    serial = dataclasses.replace(cfg, out_dir=str(tmp_path / "serial"))
-    parallel = dataclasses.replace(cfg, out_dir=str(tmp_path / "par"))
-    assert cli.cmd_sweep(serial, "eps", [0.4, 0.2, 0.1],
-                         echo=lambda *a: None) == 0
-    assert len(started_processes) == 1
-    assert cli.cmd_sweep(parallel, "eps", [0.4, 0.2, 0.1], workers=3,
-                         echo=lambda *a: None) == 0
-    assert len(started_processes) == 2  # one writer per sweep
-    a = (tmp_path / "serial" / "table.csv").read_text()
-    b = (tmp_path / "par" / "table.csv").read_text()
-    assert a == b
-    # each member's files were written from a pool thread, the
-    # checkpoints by the sweep's one writer process, their blocks
-    # interleaved on its pipe
-    for member in ("member_00", "member_01", "member_02"):
+    ladder = [0.4, 0.2, 0.1]
+    assert cli.cmd_sweep(replace(cfg, out_dir=str(tmp_path / "sweep")),
+                         "eps", ladder, echo=lambda *a: None) == 0
+    # each member shares its operators and its writer with the members
+    # run before it, and must write what a run of its own config writes
+    for i, eps in enumerate(ladder):
+        alone = tmp_path / ("alone_%d" % i)
+        assert cli.execute_run(replace(cfg, eps=eps, out_dir=str(alone)),
+                               echo=lambda *a: None)[0] == 0
+        member = tmp_path / "sweep" / ("member_%02d" % i)
         for name in ("checkpoints.txt", "run.csv", "summary.txt"):
-            a = (tmp_path / "serial" / member / name).read_bytes()
-            b = (tmp_path / "par" / member / name).read_bytes()
-            assert a == b, (member, name)
+            assert ((member / name).read_bytes()
+                    == (alone / name).read_bytes()), (i, name)
 
 
 def test_log_pair_survives_wall_proximity(tiny_ops):
