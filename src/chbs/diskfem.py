@@ -219,12 +219,19 @@ class Part:
 
 
 class DiscreteOperators:
-    """The assembled mesh operators: one :class:`Part` per side."""
+    """The assembled mesh operators: one :class:`Part` per side.
+
+    ``step_operators`` holds the step operators of :mod:`chbs.stepper`,
+    keyed by the parameters they depend on; like the factorizations of a
+    part they are built on first use and read-only afterwards, so the
+    runs of one command share them.
+    """
 
     def __init__(self, mesh, M_bulk, K_bulk, M_bdry, K_bdry):
         self.mesh = mesh
         self.bulk = Part("bulk", M_bulk, K_bulk)
         self.bdry = Part("boundary", M_bdry, K_bdry)
+        self.step_operators = {}
 
     # per-side aliases, read only by the benchmark in perfbench/
     K_bulk = property(lambda self: self.bulk.K)

@@ -267,9 +267,10 @@ def resolvent(graph, eps_eff, r):
             / (1.0 + 3.0 * eps_eff * (j * j))
     # J = tanh(s) turns the equation into g(s) = tanh(s) + 2 eps s - r = 0
     # with g increasing, concave for s > 0 and convex for s < 0: Newton
-    # from s = 0 moves monotonically to the root, and |J| <= 1 throughout
-    s = np.zeros_like(r)
-    j = np.zeros_like(r)
+    # from s = 0 moves monotonically to the root, and |J| <= 1 throughout;
+    # its first iterate from s = 0 is r / (1 + 2 eps), where it starts
+    s = r / (1.0 + 2.0 * eps_eff)
+    j = np.tanh(s)
     for _ in range(RESOLVENT_MAX_ITER):
         f = j + 2.0 * eps_eff * s - r
         worst = float(np.max(np.abs(f), initial=0.0))

@@ -369,9 +369,10 @@ class _FourierFactor:
 
     def __init__(self, A, rings, sectors):
         S = sectors
-        self.ring = ring = _ring_unknowns(rings, S)
-        self.center = center = np.array([0, 1 + rings * S])
+        ring = _ring_unknowns(rings, S)
+        center = np.array([0, 1 + rings * S])
         G = ring.shape[0]
+        self.shape = (rings, S)
         self.n_modes = n_modes = S // 2 + 1
         # place of every unknown in the mode-0 block (the center's two
         # first) and its sector (0 at the center)
@@ -418,27 +419,94 @@ class _FourierFactor:
             raise RuntimeError("Factor is exactly singular")
 
     def solve(self, v):
-        G, S = self.ring.shape
-        modes = np.fft.rfft(v[self.ring], axis=1, norm="ortho")
-        y, _ = zgbtrs(self._lu, self.kl, self.ku,
-                      np.concatenate([v[self.center], modes.T.ravel()]),
-                      self._piv, overwrite_b=True)
+        R, S = self.shape
+        nb, G = 1 + R * S, 2 * R + 1
+        # the rows of _ring_unknowns, filled through views: phi and mu
+        # interleaved ring by ring, w last
+        rows = np.empty((G, S))
+        bulk = rows[:-1].reshape(R, 2, S)
+        bulk[:, 0] = v[1:nb].reshape(R, S)
+        bulk[:, 1] = v[nb + 1:2 * nb].reshape(R, S)
+        rows[-1] = v[2 * nb:]
+        b = np.empty(2 + G * self.n_modes, dtype=complex)
+        b[0], b[1] = v[0], v[nb]
+        b[2:].reshape(self.n_modes, G).T[...] = np.fft.rfft(
+            rows, axis=1, norm="ortho")
+        y, _ = zgbtrs(self._lu, self.kl, self.ku, b, self._piv,
+                      overwrite_b=True)
+        rows = np.fft.irfft(y[2:].reshape(self.n_modes, G).T, n=S, axis=1,
+                            norm="ortho")
+        bulk = rows[:-1].reshape(R, 2, S)
         x = np.empty(v.shape)
-        x[self.center] = y[:2].real
-        x[self.ring] = np.fft.irfft(y[2:].reshape(self.n_modes, G).T, n=S,
-                                    axis=1, norm="ortho")
+        x[0], x[nb] = y[0].real, y[1].real
+        x[1:nb].reshape(R, S)[...] = bulk[:, 0]
+        x[nb + 1:2 * nb].reshape(R, S)[...] = bulk[:, 1]
+        x[2 * nb:] = rows[-1]
         return x
 
 
+class _StepOperator:
+    """The parts of a step that do not depend on eps.
+
+    The step operator ``L`` and the row map ``R`` (see ``_StepWorkspace``),
+    the ring layout of ``L`` (``_ring_layout``) and the pinning columns
+    ``pins`` = (L e_mu, L e_w), e_mu and e_w being the all-ones vectors
+    on mu and on w, depend only on ``ops``, h, tau, sigma and the two
+    perturbation slopes.  :meth:`of` builds them once per such key and
+    keeps them in ``ops.step_operators``, read-only afterwards, so the
+    members of an eps sweep share one; the factor state stays with each
+    workspace.
+    """
+
+    def __init__(self, ops, h, tau, sigma, sb, sg):
+        mesh = ops.mesh
+        nb, ng = mesh.n_bulk, mesh.n_bdry
+        self.P = P = sp.csr_matrix(
+            (np.ones(ng), (np.arange(ng), mesh.boundary_loop)),
+            shape=(ng, nb))
+        self.E = sp.eye(2 * nb + ng, nb, k=-nb, format="csr")
+        self.E_phi = sp.eye(2 * nb + ng, nb, format="csr")
+        Mb, Kb = ops.bulk.M, ops.bulk.K
+        Mg, Kg = ops.bdry.M, ops.bdry.K
+        self.L = L = sp.bmat(
+            [[Mb / h, Mb + Kb, None],
+             [(tau / h + sb) * Mb + Kb
+              + P.T @ ((sigma / h + sg) * Mg + Kg) @ P, -Mb, -(P.T @ Mg)],
+             [(Mg / h) @ P, None, Mg + Kg]], format="csr")
+        self.R = sp.bmat([[None, sp.eye(nb), None],
+                          [-h * sp.eye(nb), None, None],
+                          [None, None, -h * sp.eye(ng)]], format="csr")
+        self.rings = _ring_layout(mesh, L)
+        e_mu, e_w = np.zeros(L.shape[0]), np.zeros(L.shape[0])
+        e_mu[nb:2 * nb] = 1.0
+        e_w[2 * nb:] = 1.0
+        self.pins = L @ e_mu, L @ e_w
+
+    @classmethod
+    def of(cls, ops, pair, params):
+        """The operator on ``ops`` for the values of ``pair`` and
+        ``params`` it depends on, built on the first call."""
+        key = (params.h, params.tau, params.sigma, pair.bulk_pi.slope,
+               pair.boundary_pi.slope)
+        if key not in ops.step_operators:
+            ops.step_operators[key] = cls(ops, *key)
+        return ops.step_operators[key]
+
+
 class _StepWorkspace:
-    """Per-run cache: the step operator L and the reuse of one factor.
+    """Per-run state of the Newton steps: the reuse of one factor.
 
     A step solves r(x) = L x - b_n + E n(phi) = 0 for x = (phi, mu, w): L
     is the linear part of the step equations, b_n the load of level n and
     E puts the nodal graph term n(phi) on the mu rows.  So the Jacobian
     L + E n'(phi) E_phi^T moves only with the graph derivatives, which
     drift slowly along a trajectory, and one factor of it serves many
-    Newton updates, across iterations and time steps.
+    Newton updates, across iterations and time steps.  L, R, the ring
+    layout and the pinning columns, which give the residual after the
+    mean pin from the one before it (``shifted``), do not depend on eps
+    and come from the ``_StepOperator`` shared on ``ops``; the factor
+    (``_lu``, ``_fresh``) and whether the run is still on the Fourier
+    path (``rings``) are the workspace's own.
 
     Two Newton matrices are used, both row-mapped by R (below).  On a
     ring-numbered mesh (see ``_ring_layout``) L commutes with the rotation
@@ -520,29 +588,13 @@ class _StepWorkspace:
         self.ops = ops
         self.pair = pair
         self.params = params
-        mesh = ops.mesh
-        self.loop = mesh.boundary_loop
-        nb, ng = mesh.n_bulk, mesh.n_bdry
-        self.nb = nb
-        self.P = P = sp.csr_matrix(
-            (np.ones(ng), (np.arange(ng), self.loop)), shape=(ng, nb))
-        self.E = sp.eye(2 * nb + ng, nb, k=-nb, format="csr")
-        self.E_phi = sp.eye(2 * nb + ng, nb, format="csr")
-        h, tau, sigma = params.h, params.tau, params.sigma
-        sb = pair.bulk_pi.slope
-        sg = pair.boundary_pi.slope
-        Mb, Kb = ops.bulk.M, ops.bulk.K
-        Mg, Kg = ops.bdry.M, ops.bdry.K
-        self.L = sp.bmat(
-            [[Mb / h, Mb + Kb, None],
-             [(tau / h + sb) * Mb + Kb
-              + P.T @ ((sigma / h + sg) * Mg + Kg) @ P, -Mb, -(P.T @ Mg)],
-             [(Mg / h) @ P, None, Mg + Kg]], format="csr")
-        self.R = sp.bmat([[None, sp.eye(nb), None],
-                          [-h * sp.eye(nb), None, None],
-                          [None, None, -h * sp.eye(ng)]], format="csr")
+        self.loop = ops.mesh.boundary_loop
+        self.nb = ops.mesh.n_bulk
+        op = _StepOperator.of(ops, pair, params)
+        self.P, self.E, self.E_phi = op.P, op.E, op.E_phi
+        self.L, self.R, self.pins = op.L, op.R, op.pins
         # (rings, sectors) while the run uses Fourier factors, else None
-        self.rings = _ring_layout(mesh, self.L)
+        self.rings = op.rings
         self._lu = None
         self._fresh = True  # the factor has served no update yet
 
@@ -564,7 +616,16 @@ class _StepWorkspace:
         r_mu += self.ops.bulk.M @ graphs.yosida(pair.bulk, eps, phi)
         r_mu[self.loop] += self.ops.bdry.M @ graphs.yosida(
             pair.boundary, eps * pair.rho, phi[self.loop])
-        return r, math.sqrt(float(r @ r) / r.size)
+        return r, _rms(r)
+
+    def shifted(self, r, c_b, c_g):
+        """Turn the residual r at x, in place, into the residual at x with
+        c_b added to mu and c_g to w; returns ``(r, rms)``.  The graph term
+        reads phi alone, so r moves by c_b L e_mu + c_g L e_w."""
+        pin_mu, pin_w = self.pins
+        r += c_b * pin_mu
+        r += c_g * pin_w
+        return r, _rms(r)
 
     def jacobian_matrix(self, phi, average=False):
         """J at ``phi``; with ``average`` its rotation average on the ring
@@ -652,6 +713,11 @@ def solve_step(state, data, params, ops, work=None, guess=None):
     step solved once from ``run``'s extrapolated guess and once from the
     old level, both meeting newton_tol = 1e-10, differ by up to 5.1e-9 in
     nodal w, 3.9e-9 in mu and 8e-11 in phi.
+
+    After convergence one constant per side pins the augmented means.
+    The residual of the pinned x, which the ``newton_tol`` check and
+    ``final_residual`` read, is the last accepted residual plus that
+    rank-two shift (``_StepWorkspace.shifted``), not a fresh evaluation.
     """
     if work is None:
         work = _StepWorkspace(ops, data.pair, params)
@@ -704,9 +770,11 @@ def solve_step(state, data, params, ops, work=None, guess=None):
     # level's values, to rounding, whatever the Newton tolerance
     phi, mu, w = np.split(x, [nb, 2 * nb])
     psi = phi[work.loop]
-    mu += diskfem.mean(ops.bulk, state.phi - phi + h * (state.mu - mu)) / h
-    w += diskfem.mean(ops.bdry, state.psi - psi + h * (state.w - w)) / h
-    _, rms = work.residual(x, b)
+    c_b = diskfem.mean(ops.bulk, state.phi - phi + h * (state.mu - mu)) / h
+    c_g = diskfem.mean(ops.bdry, state.psi - psi + h * (state.w - w)) / h
+    mu += c_b
+    w += c_g
+    _, rms = work.shifted(r, c_b, c_g)
     if not rms <= params.newton_tol:
         raise NewtonFailure("post-enforcement residual %.3e above tolerance"
                             % rms, residual=rms)
@@ -714,6 +782,10 @@ def solve_step(state, data, params, ops, work=None, guess=None):
     report.exact_lu = work.rings is None
     new = SchemeState(state.n + 1, (state.n + 1) * h, phi, mu, psi, w)
     return new, report
+
+
+def _rms(r):
+    return math.sqrt(float(r @ r) / r.size)
 
 
 def _predict(history):

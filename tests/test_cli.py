@@ -515,6 +515,25 @@ class TestCmdSweep:
         table = (tmp_path / "sweep" / "table.csv").read_text()
         assert "fitted_rate=exact" in table
 
+    @pytest.mark.parametrize("axis,ladder,builds", (
+        ("eps", [0.4, 0.2, 0.1], 1), ("h", [4e-3, 2e-3, 1e-3], 3),
+        ("visc", [0.4, 0.2, 0.1], 3)), ids=("eps", "h", "visc"))
+    def test_members_share_the_step_operator_of_their_values(
+            self, tmp_path, monkeypatch, axis, ladder, builds):
+        # the step operator depends on h, tau and sigma but not on eps
+        layout = stepper._ring_layout
+        calls = []
+
+        def counted(mesh, L):
+            calls.append(L.shape)
+            return layout(mesh, L)
+
+        monkeypatch.setattr(stepper, "_ring_layout", counted)
+        cfg = cli.parse_config(write_config(tmp_path, TINY))
+        cfg = dataclasses.replace(cfg, out_dir=str(tmp_path / "sweep"))
+        assert cli.cmd_sweep(cfg, axis, ladder, echo=lambda *a: None) == 0
+        assert len(calls) == builds
+
     def test_ladder_validation(self, tmp_path, started_processes):
         cfg = cli.parse_config(write_config(tmp_path, TINY))
         out = tmp_path / "sweep"

@@ -440,6 +440,69 @@ class TestSolveStep:
         for name in ("phi", "mu", "psi", "w"):
             assert np.array_equal(getattr(new_g, name), getattr(new, name))
 
+    @pytest.mark.parametrize("pair", [
+        graphs.preset_pair(kind, rho=rho)
+        for rho in (1.0, 2.0) for kind in ("regular", "log", "obstacle")],
+        ids=lambda pair: "%s-rho%g" % (pair.name, pair.rho))
+    def test_shifted_residual_matches_a_fresh_one(self, desk_ops, pair):
+        # the pin adds constants to mu and w only, so the residual at the
+        # pinned x is the residual before plus c_b L e_mu + c_g L e_w
+        ops = desk_ops
+        cfg = replace(cli.RunConfig(), ic="random(0.1, 3)")
+        data = stepper.problem_data(ops, cli.build_initial(cfg, ops.mesh),
+                                    pair)
+        params = stepper.SchemeParams(h=1e-3, t_final=2e-3, eps=0.1)
+        traj = stepper.run(data, params, ops)
+        assert traj.ok
+        prev, last = traj.states[-2:]
+        phi = last.phi.copy()
+        if pair.bulk.kind == graphs.OBSTACLE:
+            phi[::7] = 1.2
+            phi[3::11] = -1.15
+        x = np.concatenate([phi, last.mu, last.w])
+        work = stepper._StepWorkspace(ops, pair, params)
+        nb, ng = ops.mesh.n_bulk, ops.mesh.n_bdry
+        b = work.load(prev, np.zeros(nb), np.zeros(ng))
+        c_b, c_g = 0.37, -0.21
+        r, rms = work.shifted(work.residual(x, b)[0], c_b, c_g)
+        x[nb:2 * nb] += c_b
+        x[2 * nb:] += c_g
+        fresh, fresh_rms = work.residual(x, b)
+        bound = 1e-13 * np.abs(work.L @ x).max()
+        assert np.abs(r - fresh).max() <= bound
+        assert abs(rms - fresh_rms) <= bound
+
+    @pytest.mark.parametrize("kind", ("regular", "log", "obstacle",
+                                      "cut-direction"))
+    def test_one_residual_per_line_search_trial(self, tiny_ops, kind,
+                                                monkeypatch):
+        # one residual at the guess and one per trial point of the line
+        # search, none after the pin
+        cut = kind == "cut-direction"
+        if cut:
+            kind = "regular"
+            monkeypatch.setattr(stepper._FourierFactor, "solve",
+                                lambda self, v: np.full_like(v, np.nan))
+        residual = stepper._StepWorkspace.residual
+        calls = []
+
+        def counted(self, x, b):
+            calls.append(1)
+            return residual(self, x, b)
+
+        monkeypatch.setattr(stepper._StepWorkspace, "residual", counted)
+        data, params = tiny_problem(tiny_ops, kind, amp=0.3)
+        work = stepper._StepWorkspace(tiny_ops, data.pair, params)
+        state = stepper.initial_state(data, tiny_ops)
+        backtracks = 0
+        for _ in range(params.n_steps):
+            calls.clear()
+            state, report = stepper.solve_step(state, data, params,
+                                               tiny_ops, work=work)
+            assert len(calls) == 1 + report.newton_iters + report.backtracks
+            backtracks += report.backtracks
+        assert (backtracks > 0) == cut
+
     def test_newton_failure_carries_residual(self, tiny_ops):
         data, params = tiny_problem(tiny_ops, amp=0.3)
         params.newton_max = 0
@@ -689,6 +752,24 @@ class TestFourierFactor:
         assert all(r.exact_lu for r in traj.reports[1:])
         assert len(kinds) == sum(r.refactors for r in traj.reports[1:])
         assert len(kinds) <= params.n_steps // 4
+
+    def test_run_leaving_the_fourier_path_leaves_the_shared_layout(
+            self, monkeypatch):
+        # the runs on one ops share its step operator; the data of the
+        # test above end the Fourier path, which only the run's own
+        # workspace may forget
+        ops = diskfem.assemble(diskfem.gen_disk_mesh(4, 16))
+        data, params = pinned_obstacle_problem(ops, eps=0.01, t_final=4e-2,
+                                               seed=8)
+        kinds = recording_factors(monkeypatch)
+        for _ in range(2):
+            kinds.clear()
+            work = stepper._StepWorkspace(ops, data.pair, params)
+            assert work.rings == (4, 16)
+            traj = stepper.run(data, params, ops)
+            assert traj.ok and traj.reports[-1].exact_lu
+            assert kinds[0] == "fourier"
+        assert len(ops.step_operators) == 1
 
     def test_active_set_run_keeps_its_average_and_matches_oracle(
             self, tiny_ops):
