@@ -9,10 +9,10 @@ A checkpoint file holds one block per recorded state::
     <w>
 
 each row one line of space-separated ``%.17g`` values, so that a file
-reads back bit-exactly.  Python prints a 17-digit float in about a
-microsecond, in every form it has, so :func:`print_block` prints the
-four rows of a block in one call of an exact vectorized kernel, at about
-a quarter of that, newlines included, as the bytes that are written.  A
+reads back bit-exactly.  Python's ``%`` prints a 17-digit float in about
+half a microsecond, per row or per value, so :func:`print_block` prints
+the four rows of a block in one call of an exact vectorized kernel, in
+about half that, newlines included, as the bytes that are written.  A
 run does not print even so.  A command starts one child process running
 this file (:class:`Writer`) before its own work, and every checkpoint
 file of the command goes through it: :class:`Stream` is a run hook that

@@ -177,12 +177,10 @@ def _preset_args(name, args, defaults):
 def build_mesh(cfg):
     if cfg.mesh_file:
         try:
-            mesh = diskfem.load_mesh(cfg.mesh_file)
-            diskfem.validate_mesh(mesh)
+            return diskfem.load_mesh(cfg.mesh_file)
         except ParseError as exc:
             raise ParseError("mesh file %s: %s"
                              % (cfg.mesh_file, exc)) from None
-        return mesh
     return diskfem.gen_disk_mesh(cfg.mesh_rings, cfg.mesh_sectors)
 
 
@@ -200,6 +198,9 @@ def build_initial(cfg, mesh):
         return np.full(mesh.n_bulk, a)
     if name == "radial-bump":
         a, r0 = _preset_args(name, args, (1.0, 0.5))
+        if not 0.0 < r0 < math.inf:
+            raise ParseError("radial-bump radius must be positive and "
+                             "finite, got %r" % r0)
         rsq = (xy ** 2).sum(axis=1)
         out = np.zeros(mesh.n_bulk)
         inside = rsq < r0 ** 2

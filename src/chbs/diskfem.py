@@ -91,41 +91,44 @@ def gen_disk_mesh(n_rings, n_sectors):
 
 
 def validate_mesh(mesh):
-    """Check finite coordinates, vertex use, orientation, positivity and
-    boundary topology.
+    """Check that the mesh is a conforming triangulation traced by its loop.
 
-    Every vertex must belong to a triangle: an unused one would give the
-    operators an empty row.  The boundary edges of the triangulation must
-    coincide, as a set, with the consecutive pairs of the (single, closed)
-    boundary loop.  Raises ParseError on violations so corrupted mesh
-    files surface as parse-stage failures.
+    In this order: finite coordinates, at least one triangle, triangle
+    and loop indices in range, every vertex in a triangle (an unused one
+    would give the operators an empty row), positive areas, no edge in
+    more than two triangles, a loop that visits each vertex once, and
+    loop edges that are exactly the edges of one triangle each.  Each
+    triangle, like the loop, is a closed cycle of vertices whose edge
+    lo-hi is keyed lo*n + hi.  Raises ParseError at the first violation,
+    so a corrupted mesh file surfaces as a parse-stage failure.
     """
+    n, tris, loop = np.int64(mesh.n_bulk), mesh.triangles, mesh.boundary_loop
     bad = np.flatnonzero(~np.isfinite(mesh.vertices).all(axis=1))
     if bad.size:
         raise ParseError("vertex %d has a non-finite coordinate" % bad[0])
-    if not mesh.triangles.size:
+    if not tris.size:
         raise ParseError("mesh has no triangle")
-    unused = np.flatnonzero(np.bincount(mesh.triangles.ravel(),
-                                        minlength=mesh.n_bulk) == 0)
+    if tris.min() < 0 or tris.max() >= n:
+        raise ParseError("triangle index out of range")
+    if loop.size and (loop.min() < 0 or loop.max() >= n):
+        raise ParseError("boundary index out of range")
+    unused = np.flatnonzero(np.bincount(tris.ravel(), minlength=n) == 0)
     if unused.size:
         raise ParseError("vertex %d belongs to no triangle" % unused[0])
-    areas = mesh.triangle_areas()
-    if (areas <= 0.0).any():
+    if (mesh.triangle_areas() <= 0.0).any():
         raise ParseError("non-positively-oriented or degenerate triangle")
-    edges = {}
-    for t in mesh.triangles:
-        for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-            key = (min(a, b), max(a, b))
-            edges[key] = edges.get(key, 0) + 1
-    bdry_edges = {k for k, cnt in edges.items() if cnt == 1}
-    loop = mesh.boundary_loop
-    if len(set(loop.tolist())) != len(loop):
+
+    def edge_keys(cycles):
+        b = np.roll(cycles, -1, axis=-1)
+        return (np.minimum(cycles, b) * n + np.maximum(cycles, b)).ravel()
+
+    keys, counts = np.unique(edge_keys(tris), return_counts=True)
+    if (counts > 2).any():
+        raise ParseError("edge %d-%d belongs to more than two triangles"
+                         % divmod(int(keys[counts > 2][0]), n))
+    if np.unique(loop).size != loop.size:
         raise ParseError("boundary loop revisits a vertex")
-    loop_edges = set()
-    for i in range(len(loop)):
-        a, b = int(loop[i]), int(loop[(i + 1) % len(loop)])
-        loop_edges.add((min(a, b), max(a, b)))
-    if loop_edges != bdry_edges:
+    if not np.array_equal(np.unique(edge_keys(loop)), keys[counts == 1]):
         raise ParseError("boundary loop does not trace the mesh boundary")
     return True
 
@@ -145,7 +148,7 @@ def save_mesh(mesh, path):
 
 
 def load_mesh(path):
-    """Read the plain-text mesh format; raises ParseError on malformed input."""
+    """Read and validate the plain-text mesh format; raises ParseError."""
     with open(path, "r", encoding="utf-8") as fh:
         tokens = fh.read().split()
     pos = 0
@@ -169,22 +172,17 @@ def load_mesh(path):
 
     try:
         nv = section("vertices")
-        vertices = np.array([float(t) for t in take(2 * nv)],
-                            dtype=float).reshape(nv, 2)
+        vertices = np.array(take(2 * nv), dtype=float).reshape(nv, 2)
         nt = section("triangles")
-        triangles = np.array([int(t) for t in take(3 * nt)],
-                             dtype=np.int64).reshape(nt, 3)
-        nbd = section("boundary")
-        loop = np.array([int(t) for t in take(nbd)], dtype=np.int64)
-    except ValueError as exc:
+        triangles = np.array(take(3 * nt), dtype=np.int64).reshape(nt, 3)
+        loop = np.array(take(section("boundary")), dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
         raise ParseError("malformed mesh entry: %s" % exc) from None
     if pos != len(tokens):
         raise ParseError("trailing garbage in mesh file")
-    if triangles.size and (triangles.min() < 0 or triangles.max() >= nv):
-        raise ParseError("triangle index out of range")
-    if loop.size and (loop.min() < 0 or loop.max() >= nv):
-        raise ParseError("boundary index out of range")
-    return DiskMesh(vertices, triangles, loop)
+    mesh = DiskMesh(vertices, triangles, loop)
+    validate_mesh(mesh)
+    return mesh
 
 
 class Part:

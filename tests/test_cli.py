@@ -447,8 +447,12 @@ class TestCmdRun:
          "mesh has no triangle"),
         ("vertices 0\ntriangles 0\nboundary 0\n", "mesh has no triangle"),
         ("vertices 1\n0 0\ntriangles 1\n0 0 0\nboundary 0\n",
-         "non-positively-oriented or degenerate triangle")),
-        ids=("unused-vertex", "no-triangle", "empty", "degenerate"))
+         "non-positively-oriented or degenerate triangle"),
+        ("vertices 4\n0 0\n1 0\n-0.5 0.866\n-0.5 -0.866\ntriangles 4\n"
+         "0 1 2\n0 2 3\n0 3 1\n0 1 2\nboundary 3\n1 2 3\n",
+         "edge 0-1 belongs to more than two triangles")),
+        ids=("unused-vertex", "no-triangle", "empty", "degenerate",
+             "duplicated-triangle"))
     @pytest.mark.parametrize("command", ("run", "mesh-info"))
     def test_malformed_mesh_file_exit_2(self, tmp_path, capsys, command,
                                         text, message):
@@ -828,6 +832,9 @@ class TestMain:
         (TINY, ["sweep", "--axis", "eps", "--ladder", "0.2,0.1,abc"]),
         (TINY + "ic = constant(1, 2)\n", ["run"]),
         (TINY + "ic = radial-bump(1, 0.5, 3)\n", ["run"]),
+        (TINY + "ic = radial-bump(1, -0.5)\n", ["run"]),
+        (TINY + "ic = radial-bump(1, 0)\n", ["run"]),
+        (TINY + "ic = radial-bump(1, nan)\n", ["run"]),
         (TINY + "ic = random(0.1, 2, 3)\n", ["run"]),
         (TINY + "ic = random(0.1, 2.5)\n", ["run"]),
         (TINY + "ic = random(0.1, nan)\n", ["run"]),
@@ -839,7 +846,9 @@ class TestMain:
         (TINY, ["sweep", "--axis", "eps", "--ladder", "nan,0.2,0.1"])),
         ids=("rings-0", "sectors-2", "missing-config", "missing-mesh-file",
              "ladder-not-numeric", "ic-constant-two-args",
-             "ic-bump-three-args", "ic-random-three-args",
+             "ic-bump-three-args", "ic-bump-negative-radius",
+             "ic-bump-zero-radius", "ic-bump-nan-radius",
+             "ic-random-three-args",
              "ic-random-fractional-seed",
              "ic-random-nan-seed", "source-zero-one-arg",
              "source-constant-two-args", "source-ramp-two-args",

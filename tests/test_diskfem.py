@@ -1,6 +1,7 @@
 import ast
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,42 @@ def shoelace_area(mesh):
     p = mesh.vertices[mesh.boundary_loop]
     q = np.roll(p, -1, axis=0)
     return 0.5 * float(np.sum(p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1]))
+
+
+def loop_verdict(mesh):
+    """The message of validate_mesh's first failed check, or None,
+    checked one triangle and one loop vertex at a time."""
+    n, tris, loop = mesh.n_bulk, mesh.triangles.tolist(), \
+        mesh.boundary_loop.tolist()
+    for i, (x, y) in enumerate(mesh.vertices.tolist()):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return "vertex %d has a non-finite coordinate" % i
+    if not tris:
+        return "mesh has no triangle"
+    for what, idx in (("triangle", sum(tris, [])), ("boundary", loop)):
+        if any(not 0 <= i < n for i in idx):
+            return "%s index out of range" % what
+    used = set(sum(tris, []))
+    for i in range(n):
+        if i not in used:
+            return "vertex %d belongs to no triangle" % i
+    if any(a <= 0.0 for a in mesh.triangle_areas()):
+        return "non-positively-oriented or degenerate triangle"
+    edges = {}
+    for t in tris:
+        for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
+            key = (min(a, b), max(a, b))
+            edges[key] = edges.get(key, 0) + 1
+    over = sorted(k for k, cnt in edges.items() if cnt > 2)
+    if over:
+        return "edge %d-%d belongs to more than two triangles" % over[0]
+    if len(set(loop)) != len(loop):
+        return "boundary loop revisits a vertex"
+    segments = {(min(a, b), max(a, b))
+                for a, b in zip(loop, loop[1:] + loop[:1])}
+    if segments != {k for k, cnt in edges.items() if cnt == 1}:
+        return "boundary loop does not trace the mesh boundary"
+    return None
 
 
 class TestMeshGeneration:
@@ -99,6 +136,65 @@ class TestMeshFile:
                         "triangles 1\n0 1 7\nboundary 0\n")
         with pytest.raises(ParseError):
             diskfem.load_mesh(path)
+
+    def test_duplicated_interior_triangle_rejected(self):
+        # the copy keeps the loop a boundary but would add its area twice
+        mesh = diskfem.gen_disk_mesh(4, 16)
+        mesh.triangles = np.vstack([mesh.triangles, mesh.triangles[20]])
+        with pytest.raises(ParseError, match="^edge 3-4 belongs to more "
+                                             "than two triangles$"):
+            diskfem.validate_mesh(mesh)
+
+    @pytest.mark.parametrize("index", ("n_bulk", -1))
+    def test_in_memory_index_out_of_range(self, index):
+        mesh = diskfem.gen_disk_mesh(2, 6)
+        mesh.triangles[3, 1] = mesh.n_bulk if index == "n_bulk" else index
+        with pytest.raises(ParseError,
+                           match="^triangle index out of range$"):
+            diskfem.validate_mesh(mesh)
+
+    def test_array_checks_match_the_loop_reference(self):
+        rng = np.random.default_rng(5)
+        verdicts = set()
+        for trial in range(330):
+            mesh = diskfem.gen_disk_mesh(int(rng.integers(1, 4)),
+                                         int(rng.integers(3, 9)))
+            tris, loop = mesh.triangles, mesh.boundary_loop
+            t = int(rng.integers(len(tris)))
+            i, j = rng.choice(len(loop), 2, replace=False)
+            kind = trial % 11
+            if kind == 1:
+                mesh.triangles = np.vstack([tris, tris[t]])
+            elif kind == 2:
+                k = min(int(rng.integers(1, 4)), len(tris))
+                mesh.triangles = np.delete(
+                    tris, rng.choice(len(tris), k, replace=False), axis=0)
+            elif kind == 3:
+                mesh.boundary_loop = np.roll(loop, i)[::1 - 2 * (j % 2)]
+            elif kind == 4:
+                loop[[i, j]] = loop[[j, i]]
+            elif kind == 5:
+                loop[i] = rng.integers(-1, mesh.n_bulk + 1)
+            elif kind == 6:
+                mesh.boundary_loop = np.delete(loop, i)
+            elif kind == 7:
+                tris[t, [0, 1]] = tris[t, [1, 0]]
+            elif kind == 8:
+                tris[t, 2] = rng.choice([-1, mesh.n_bulk])
+            elif kind == 9:
+                mesh.vertices[rng.integers(mesh.n_bulk), 1] = np.inf
+            elif kind == 10:
+                mesh.triangles = tris[:0]
+            want = loop_verdict(mesh)
+            verdicts.add(want and re.sub(r"\d+", "N", want))
+            if want is None:
+                assert diskfem.validate_mesh(mesh)
+            else:
+                with pytest.raises(ParseError) as err:
+                    diskfem.validate_mesh(mesh)
+                assert str(err.value) == want
+        # every check fails at least once, and some meshes pass
+        assert len(verdicts) == 10
 
     def test_corrupted_topology_detected(self, tmp_path):
         mesh = diskfem.gen_disk_mesh(2, 6)
