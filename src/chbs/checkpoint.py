@@ -159,13 +159,22 @@ def _print(values, sizes):
     d[zero] = 0
     k = (i + _K_MIN).astype(np.int16) + carry  # exponent of the result
 
-    # digit j is q_j - 10 q_{j-1} for the prefixes q_j = d // 10^(16-j),
+    # d is digit 0 and two halves of eight digits, small enough for
+    # uint32, whose division is much faster than int64's.  In each half,
+    # digit j is q_j - 10 q_{j-1} for the prefixes q_j = half // 10^(8-j),
     # taken mod 256
-    q = np.empty((17, n), np.int64)
-    for j in range(17):
-        np.floor_divide(d, 10 ** (16 - j), out=q[j])
+    top = d // 10 ** 16
+    rest = d - top * 10 ** 16
+    upper = rest // 10 ** 8
+    q = np.empty((17, n), np.uint32)
+    q[0] = top
+    q[8] = upper
+    q[16] = rest - upper * 10 ** 8
+    for j in range(1, 8):
+        np.floor_divide(q[8::8], np.uint32(10 ** (8 - j)), out=q[j::8])
     digits = q.astype(np.uint8)
-    digits[1:] -= np.uint8(10) * digits[:-1]
+    digits[2:9] -= np.uint8(10) * digits[1:8]
+    digits[10:] -= np.uint8(10) * digits[9:16]
     last = ((digits != 0) * _J).max(axis=0)  # the last nonzero digit
     fixed = (k >= -4) & (k < 17)
     small = fixed & (k < 0)  # printed as 0.000ddd

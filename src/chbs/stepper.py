@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse as sp
-from scipy.linalg.lapack import zgbtrf, zgbtrs
+from scipy.linalg.blas import ztbsv
 from scipy.sparse.linalg import splu
 
 from . import checkpoint, diskfem, graphs
@@ -362,9 +362,24 @@ class _FourierFactor:
     and its neighbours, and the center only to the first ring, so the
     whole block-diagonal matrix is one band, three wide on each side
     (mu_k to phi_(k-1) below, phi_k to mu_(k+1) above).  The widths
-    ``kl`` and ``ku`` are read from the entries, and LAPACK's banded LU
-    with partial pivoting (``zgbtrf``, then ``zgbtrs`` per solve) factors
-    the band without building a sparse matrix.
+    ``kl`` and ``ku`` are read from the entries.
+
+    The band is factored once, in place and without pivoting
+    (``_band_lu``), and each solve applies the factors with two BLAS
+    triangular band solves (``ztbsv``): the unit lower triangle, kl wide,
+    then the upper one, ku wide, held as U D^-1 with a unit diagonal and
+    followed by a multiply by 1/D.  Pivots buy nothing here: inside the
+    step guard R J is quasi-definite (see ``_StepWorkspace``), and so are
+    its rotation average and the average's mode blocks, which factor
+    stably without pivoting in any symmetric order (Vanderbei, SIAM J.
+    Optim. 5, 1995).  The multipliers stay below 2 on the 40x160
+    averages, and below 19 on the averages outside the guard that the
+    tests check (zero viscosity, the obstacle at small eps).  No backward
+    error is checked: a Fourier direction is never final, and a poor one
+    is caught by the contraction rule or the line-search cut, which end
+    the Fourier path.  A zero or non-finite pivot raises RuntimeError,
+    upon which the step leaves the Fourier path for the exact LU
+    (``_StepWorkspace.direction``).
     """
 
     def __init__(self, A, rings, sectors):
@@ -406,17 +421,22 @@ class _FourierFactor:
         gaps = np.concatenate([ring_a - ring_b, center_a - center_b])
         self.kl = kl = max(int(gaps.max()), 0)
         self.ku = ku = max(int(-gaps.min()), 0)
-        # LAPACK band storage: A[i, k] at ab[kl + ku + i - k, k], with kl
-        # rows on top for the fill of the row interchanges
-        band = np.zeros((2 * kl + ku + 1, 2 + G * n_modes), dtype=complex,
-                        order="F")
-        band[(kl + ku + ring_a - ring_b)[:, None],
-             ring_b[:, None] + G * np.arange(n_modes)] = lam
-        np.add.at(band, (kl + ku + center_a - center_b, center_b),
-                  center_values)
-        self._lu, self._piv, info = zgbtrf(band, kl, ku, overwrite_ab=True)
-        if info > 0:
+        # general band storage: A[i, k] at ab[ku + i - k, k]
+        ab = np.zeros((kl + ku + 1, 2 + G * n_modes), dtype=complex)
+        ab[(ku + ring_a - ring_b)[:, None],
+           ring_b[:, None] + G * np.arange(n_modes)] = lam
+        np.add.at(ab, (ku + center_a - center_b, center_b), center_values)
+        # a zero pivot gives inf or NaN, refused below without a warning
+        with np.errstate(all="ignore"):
+            _band_lu(ab, kl, ku, G)
+        if not (ab[ku].all() and np.isfinite(ab).all()):
             raise RuntimeError("Factor is exactly singular")
+        # BLAS band storage of the unit lower triangle and of U D^-1, D
+        # the diagonal of U: a unit-diagonal solve and a multiply by 1/D
+        # are faster than the solve with U
+        self._lower = np.asfortranarray(ab[ku:])
+        self._upper = np.asfortranarray(ab[:ku + 1] / ab[ku])
+        self._inv_diag = 1.0 / ab[ku]
 
     def solve(self, v):
         R, S = self.shape
@@ -432,8 +452,9 @@ class _FourierFactor:
         b[0], b[1] = v[0], v[nb]
         b[2:].reshape(self.n_modes, G).T[...] = np.fft.rfft(
             rows, axis=1, norm="ortho")
-        y, _ = zgbtrs(self._lu, self.kl, self.ku, b, self._piv,
-                      overwrite_b=True)
+        y = ztbsv(self.kl, self._lower, b, lower=1, diag=1, overwrite_x=1)
+        y = ztbsv(self.ku, self._upper, y, diag=1, overwrite_x=1)
+        y *= self._inv_diag
         rows = np.fft.irfft(y[2:].reshape(self.n_modes, G).T, n=S, axis=1,
                             norm="ortho")
         bulk = rows[:-1].reshape(R, 2, S)
@@ -443,6 +464,28 @@ class _FourierFactor:
         x[nb + 1:2 * nb].reshape(R, S)[...] = bulk[:, 1]
         x[2 * nb:] = rows[-1]
         return x
+
+
+def _band_lu(ab, kl, ku, G):
+    """Unpivoted LU, in place, of the band ``ab`` of ``_FourierFactor``:
+    the center's two columns, then the mode blocks of G columns each,
+    one column of every block at a time.  The blocks do not couple, so
+    updates that would cross a block's end are skipped."""
+    n = ab.shape[1]
+    for k in range(2):
+        nt = min(kl, n - 1 - k)
+        ab[ku + 1:ku + 1 + nt, k] /= ab[ku, k]
+        for s in range(1, min(ku, n - 1 - k) + 1):
+            ab[ku + 1 - s:ku + 1 - s + nt, k + s] -= \
+                ab[ku + 1:ku + 1 + nt, k] * ab[ku - s, k + s]
+    blocks = ab[:, 2:].reshape(ab.shape[0], -1, G)
+    for j in range(G):
+        nt = min(kl, G - 1 - j)
+        low = blocks[ku + 1:ku + 1 + nt, :, j]
+        low /= blocks[ku, :, j]
+        for s in range(1, min(ku, G - 1 - j) + 1):
+            blocks[ku + 1 - s:ku + 1 - s + nt, :, j + s] -= \
+                low * blocks[ku - s, :, j + s]
 
 
 class _StepOperator:
@@ -530,8 +573,8 @@ class _StepWorkspace:
     Fourier path: a fresh rotation average that does not contract cannot
     be helped by another average, and every later factor is the exact LU.
     How far a factor may drift depends on what a new one costs: on the
-    40x160 mesh a Fourier solve costs about a sixth of an exact one and a
-    Fourier factorization about a fortieth, so the threshold is
+    40x160 mesh a Fourier solve costs about a tenth of an exact one and a
+    Fourier factorization about a twenty-fifth, so the threshold is
     ``THETA_MAX_FOURIER`` = 0.15 for a Fourier factor and ``THETA_MAX`` =
     0.05 for an exact LU.  On the regular and log desk runs the average
     contracts at theta of about 1e-5 and one Fourier factor serves the
@@ -597,6 +640,11 @@ class _StepWorkspace:
         self.rings = op.rings
         self._lu = None
         self._fresh = True  # the factor has served no update yet
+        # the right-hand side of every direction, reused: a fresh array
+        # per direction raised the peak RSS of the benchmark's 100-step
+        # active-set obstacle run from 87-93 MB to 88-101 MB, most likely
+        # through the layout of the heap
+        self._rhs = np.empty(self.L.shape[0])
 
     def load(self, state, fn, gn):
         """b_n: the old level ``state`` and the averaged sources."""
@@ -652,16 +700,26 @@ class _StepWorkspace:
         exact LU, so a rebuild cannot do better.  Solves, factorizations
         and fallbacks are counted in ``report``.
         """
-        rhs = -(self.R @ r)
+        nb, h = self.nb, self.params.h
+        # -R r, whose rows are (-r_mu, h r_phi, h r_w), in the one buffer
+        rhs = self._rhs
+        np.negative(r[nb:2 * nb], out=rhs[:nb])
+        np.multiply(h, r[:nb], out=rhs[nb:2 * nb])
+        np.multiply(h, r[2 * nb:], out=rhs[2 * nb:])
         final = False
         if self._lu is None:
             self._fresh = True
             report.refactors += 1
             if self.rings is not None:
-                self._lu = _FourierFactor(
-                    self.R @ self.jacobian_matrix(phi, average=True),
-                    *self.rings)
-            else:
+                try:
+                    self._lu = _FourierFactor(
+                        self.R @ self.jacobian_matrix(phi, average=True),
+                        *self.rings)
+                except RuntimeError:
+                    # the unpivoted LU met a zero or non-finite pivot:
+                    # leave the Fourier path for the exact LU
+                    self.rings = None
+            if self._lu is None:
                 A = (self.R @ self.jacobian_matrix(phi)).tocsc()
                 self._lu = splu(A, permc_spec="MMD_AT_PLUS_A",
                                 diag_pivot_thresh=0.0,
@@ -887,7 +945,7 @@ def load_states(path):
             raise ParseError("bad checkpoint block at line %d" % (i + 1))
         try:
             n, t = int(head[1]), float(head[2])
-            rows = [np.array([float(x) for x in line.split()])
+            rows = [np.array(line.split(), dtype=float)
                     for line in lines[i + 1:i + size]]
         except ValueError:
             raise ParseError("malformed checkpoint entry near line %d"

@@ -405,6 +405,23 @@ class TestCmdRun:
             assert ("fallbacks_total=%d %s" % (fallbacks, want)
                     in (out / "summary.txt").read_text().splitlines())
 
+    def test_zero_pivot_in_the_fourier_factor_ends_its_path(
+            self, tmp_path, monkeypatch):
+        # a Fourier factor that meets a zero pivot: the run goes on with
+        # the exact LU, from the first step
+        def zero_pivot(*args):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(stepper, "_FourierFactor", zero_pivot)
+        cfg = cli.parse_config(write_config(tmp_path, TINY))
+        out = tmp_path / "out"
+        code, traj = cli.execute_run(
+            dataclasses.replace(cfg, out_dir=str(out)), echo=lambda *a: None)
+        assert code == 0 and traj.ok
+        assert all(r.exact_lu for r in traj.reports[1:])
+        assert "fallbacks_total=0 exact_lu_from_step=1" in (
+            out / "summary.txt").read_text().splitlines()
+
     def test_summary_names_the_mesh(self, tmp_path):
         mesh_path = tmp_path / "disk.mesh"
         diskfem.save_mesh(diskfem.gen_disk_mesh(3, 12), mesh_path)

@@ -503,6 +503,44 @@ class TestSolveStep:
             backtracks += report.backtracks
         assert (backtracks > 0) == cut
 
+    def test_direction_rhs_is_minus_R_r(self, tiny_ops):
+        # the right-hand side is built by slices, bit for bit -(R r)
+        data, params = tiny_problem(tiny_ops, "obstacle")
+        work = stepper._StepWorkspace(tiny_ops, data.pair, params)
+
+        class Echo:
+            def solve(self, v):
+                return v
+
+        gen = np.random.default_rng(11)
+        for _ in range(5):
+            r = gen.standard_normal(work.L.shape[0]) \
+                * 10.0 ** gen.integers(-12, 4, work.L.shape[0])
+            work._lu = Echo()
+            rhs, _ = work.direction(data.phi0, r, stepper.StepReport())
+            assert rhs.tobytes() == (-(work.R @ r)).tobytes()
+
+    def test_zero_pivot_leaves_the_fourier_path(self, tiny_ops,
+                                                monkeypatch):
+        # a Fourier factor that meets a zero pivot hands the step to the
+        # exact LU, which a truly singular Jacobian still fails
+        def zero_pivot(*args):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(stepper, "_FourierFactor", zero_pivot)
+        data, params = tiny_problem(tiny_ops, amp=0.3)
+        work = stepper._StepWorkspace(tiny_ops, data.pair, params)
+        state = stepper.initial_state(data, tiny_ops)
+        new, report = stepper.solve_step(state, data, params, tiny_ops,
+                                         work=work)
+        assert report.exact_lu and work.rings is None
+        assert report.refactors == 1
+        work.stale()
+        monkeypatch.setattr(stepper._StepWorkspace, "jacobian_matrix",
+                            lambda self, phi, average=False: 0 * self.L)
+        with pytest.raises(RuntimeError, match="singular"):
+            stepper.solve_step(new, data, params, tiny_ops, work=work)
+
     def test_newton_failure_carries_residual(self, tiny_ops):
         data, params = tiny_problem(tiny_ops, amp=0.3)
         params.newton_max = 0
@@ -664,14 +702,24 @@ def ring_ops(request, rings, sectors):
     return diskfem.assemble(diskfem.gen_disk_mesh(rings, sectors))
 
 
+# cases outside the step guard: the potential and the parameters
+OUTSIDE_GUARD = {"inviscid": ("log", dict(tau=0.0, sigma=0.0)),
+                 "obstacle-eps0.01": ("obstacle", dict(eps=0.01)),
+                 "obstacle-eps0.002": ("obstacle", dict(eps=0.002))}
+
+
 class TestFourierFactor:
-    @pytest.mark.parametrize("kind", ("regular", "log", "obstacle"))
+    @pytest.mark.parametrize("kind", ("regular", "log", "obstacle")
+                             + tuple(OUTSIDE_GUARD))
     @pytest.mark.parametrize("rings, sectors", (
         (1, 5), (2, 8), (3, 7), (4, 16), (40, 160)))
     def test_solves_the_averaged_jacobian(self, request, rings, sectors,
                                           kind):
+        # the unpivoted LU is stable where R J is quasi-definite, inside
+        # the step guard; outside it the growth must still stay small
         ops = ring_ops(request, rings, sectors)
-        data, params = tiny_problem(ops, kind, eps=0.1)
+        pair, kw = OUTSIDE_GUARD.get(kind, (kind, {}))
+        data, params = tiny_problem(ops, pair, **{"eps": 0.1, **kw})
         work = stepper._StepWorkspace(ops, data.pair, params)
         assert work.rings == (rings, sectors)
         gen = np.random.default_rng(7)
@@ -679,7 +727,9 @@ class TestFourierFactor:
         phi = gen.uniform(-1.3, 1.3, ops.mesh.n_bulk)
         A = (work.R @ work.jacobian_matrix(phi, average=True)).tocsc()
         v = gen.uniform(-1.0, 1.0, A.shape[0])
-        x = stepper._FourierFactor(A, rings, sectors).solve(v)
+        factor = stepper._FourierFactor(A, rings, sectors)
+        assert np.abs(factor._lower[1:]).max() <= 100.0
+        x = factor.solve(v)
         assert np.linalg.norm(A @ x - v) <= 1e-12 * np.linalg.norm(v)
         want = splu(A).solve(v)
         assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
