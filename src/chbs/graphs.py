@@ -13,10 +13,10 @@ The graph maps (:func:`resolvent`, :func:`yosida`, :func:`yosida_prime`,
 :func:`moreau_envelope`) all take ``(graph, eps_eff, r)`` and serve both
 sides: the bulk passes ``eps_eff = eps`` and the boundary ``eps * rho``,
 the scaling that keeps the compatibility bound valid with unchanged
-constants.
+constants.  They are numpy array code, so a scalar ``r`` follows numpy's
+0-d rules and gives a float; :func:`minimal_section` takes arrays too.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -112,8 +112,8 @@ class MonotoneGraph:
     def contains(self, r, interior=False):
         """Whether ``r`` lies in the effective domain (or its interior)."""
         if interior or not self.closed:
-            return self.lo < r < self.hi
-        return self.lo <= r <= self.hi
+            return (self.lo < r) & (r < self.hi)
+        return (self.lo <= r) & (r <= self.hi)
 
 
 def _xlogx(u):
@@ -236,18 +236,6 @@ def mixed_pair(bulk_kind, boundary_kind, c1=2.0, c2=1.0, rho=None, c0=None):
                          rho=float(rho), c0=float(c0))
 
 
-def _nodal(fn):
-    """Let ``fn(graph, eps_eff, r)``, written for 1-d arrays, also map a
-    scalar ``r`` to a float."""
-    @functools.wraps(fn)
-    def wrapper(graph, eps_eff, r):
-        scalar = np.isscalar(r) or np.ndim(r) == 0
-        out = fn(graph, eps_eff, np.atleast_1d(np.asarray(r, dtype=float)))
-        return float(out[0]) if scalar else out
-    return wrapper
-
-
-@_nodal
 def resolvent(graph, eps_eff, r):
     """Resolvent J with J + eps_eff * beta(J) containing r.
 
@@ -257,6 +245,7 @@ def resolvent(graph, eps_eff, r):
     """
     if not eps_eff > 0.0:
         raise ValueError("eps_eff must be positive")
+    r = np.asarray(r, dtype=float)
     if graph.kind == OBSTACLE:
         return np.clip(r, -1.0, 1.0)
     if graph.kind == REGULAR:
@@ -271,30 +260,31 @@ def resolvent(graph, eps_eff, r):
     # its first iterate from s = 0 is r / (1 + 2 eps), where it starts
     s = r / (1.0 + 2.0 * eps_eff)
     j = np.tanh(s)
-    for _ in range(RESOLVENT_MAX_ITER):
-        f = j + 2.0 * eps_eff * s - r
-        worst = float(np.max(np.abs(f), initial=0.0))
-        if worst <= RESOLVENT_TOL:
-            return j
-        s -= f / ((1.0 - j) * (1.0 + j) + 2.0 * eps_eff)
-        j = np.tanh(s)
+    # a step that overflows at tiny eps_eff stalls into IterationFailure
+    # (errstate around the loop, not each step: entering one costs ~1 us)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(RESOLVENT_MAX_ITER):
+            f = j + 2.0 * eps_eff * s - r
+            worst = float(np.max(np.abs(f), initial=0.0))
+            if worst <= RESOLVENT_TOL:
+                return j
+            s -= f / ((1.0 - j) * (1.0 + j) + 2.0 * eps_eff)
+            j = np.tanh(s)
     raise IterationFailure(
         "log resolvent stalled at residual %.3e (eps_eff=%g)"
         % (worst, eps_eff))
 
 
-@_nodal
 def yosida(graph, eps_eff, r):
     """Yosida approximation (r - J) / eps_eff, Lipschitz constant 1/eps_eff."""
     return (r - resolvent(graph, eps_eff, r)) / eps_eff
 
 
-@_nodal
 def yosida_prime(graph, eps_eff, r):
     """Nodal derivative of :func:`yosida` (semismooth for the obstacle)."""
     if graph.kind == OBSTACLE:
         # generalized derivative: 0 on [-1, 1] (including the kinks)
-        return np.where(np.abs(r) > 1.0, 1.0 / eps_eff, 0.0)
+        return (np.abs(r) > 1.0) / eps_eff
     j = resolvent(graph, eps_eff, r)
     # far out the log resolvent tanh(s) rounds to +-1, where beta' is +inf
     # and J' = 0 is the limit
@@ -303,7 +293,6 @@ def yosida_prime(graph, eps_eff, r):
     return (1.0 - jp) / eps_eff
 
 
-@_nodal
 def moreau_envelope(graph, eps_eff, r):
     """Inf-convolution smoothing of the convex primitive.
 
@@ -312,22 +301,19 @@ def moreau_envelope(graph, eps_eff, r):
     and the unsmoothed primitive.
     """
     j = resolvent(graph, eps_eff, r)
-    return 0.5 / eps_eff * (r - j) ** 2 + graph.primitive(j)
+    # np.square: ** 2 on a numpy scalar calls libm pow, at times an ulp off
+    return 0.5 / eps_eff * np.square(r - j) + graph.primitive(j)
 
 
 def minimal_section(graph, r):
     """Least-modulus element of the graph at r; OutOfDomain outside D."""
-    r = float(r)
-    if graph.kind == OBSTACLE:
-        if abs(r) > 1.0:
-            raise OutOfDomain("%.17g outside [-1, 1]" % r)
-        # at the endpoints the graph is a vertical half line containing 0
-        return 0.0
-    if graph.kind == LOG:
-        if abs(r) >= 1.0:
-            raise OutOfDomain("%.17g outside (-1, 1)" % r)
-        return float(graph.beta(r))
-    return float(graph.beta(r))
+    r = np.asarray(r, dtype=float)
+    outside = r[~graph.contains(r)]
+    if outside.size:
+        raise OutOfDomain("%.17g outside the %s domain"
+                          % (outside[0], graph.kind))
+    # at the obstacle endpoints the graph is a vertical half line containing 0
+    return graph.beta(r)
 
 
 def _compat_gaps(bulk, boundary, eps, rho, samples):
@@ -397,9 +383,7 @@ def check_minimal_sections(pair):
     hi = pair.boundary.hi if math.isfinite(pair.boundary.hi) else 3.0
     if not pair.boundary.closed:
         lo, hi = lo + SCAN_INSET, hi - SCAN_INSET
-    worst = -math.inf
-    for r in np.linspace(lo, hi, SCAN_SAMPLES):
-        m = abs(minimal_section(pair.bulk, r)) \
-            - pair.rho * abs(minimal_section(pair.boundary, r)) - pair.c0
-        worst = max(worst, m)
-    return worst
+    r = np.linspace(lo, hi, SCAN_SAMPLES)
+    return float(np.max(np.abs(minimal_section(pair.bulk, r))
+                        - pair.rho * np.abs(minimal_section(pair.boundary, r))
+                        - pair.c0))

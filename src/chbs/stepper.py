@@ -268,7 +268,9 @@ def validate(data, params, ops, strong=False):
         if not graph.contains(m, interior=True):
             violations.append("%s mean %.6g not interior to the %s graph "
                               "domain" % (part.name, m, part.name))
-        if not np.isfinite(graph.primitive(v)).all():
+        with np.errstate(over="ignore"):  # overflow is an infinite energy
+            infinite = not np.isfinite(graph.primitive(v)).all()
+        if infinite:
             violations.append("initial %s potential energy is infinite"
                               % part.name)
     for name, source, size in (("f", data.f, ops.mesh.n_bulk),
@@ -727,9 +729,10 @@ class _StepWorkspace:
                 dx = self._lu.solve(rhs)
                 report.linsolves += 1
                 # NaN-safe: a non-finite dx fails the comparison
-                if (np.linalg.norm(A @ dx - rhs)
-                        <= self.BACKWARD_TOL * np.linalg.norm(rhs)):
-                    return dx, True
+                with np.errstate(over="ignore", invalid="ignore"):
+                    if (np.linalg.norm(A @ dx - rhs)
+                            <= self.BACKWARD_TOL * np.linalg.norm(rhs)):
+                        return dx, True
                 self._lu = None  # free the rejected factors first
                 self._lu = splu(A)
                 report.refactors += 1
@@ -843,7 +846,8 @@ def solve_step(state, data, params, ops, work=None, guess=None):
 
 
 def _rms(r):
-    return math.sqrt(float(r @ r) / r.size)
+    with np.errstate(over="ignore"):  # an overflow is rms inf, never ok
+        return math.sqrt(float(r @ r) / r.size)
 
 
 def _predict(history):

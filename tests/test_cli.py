@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -834,6 +835,34 @@ class TestMain:
     def test_config_error_exit_2(self, tmp_path):
         path = write_config(tmp_path, "tau = 9\n")
         assert cli.main(["run", "--config", path]) == 2
+
+    @pytest.mark.parametrize("body,verdict,code", (
+        ("h = 1e-300\nt_final = 1e-300\n",
+         "solver failure at step 0", 3),
+        ("t_final = 0.004\npotential = log\neps = 1e-300\n",
+         "solver failure at step 0", 3),
+        ("t_final = 0.004\npotential = log\nrho = 1e-300\n",
+         "solver failure at step 0", 3),
+        ("t_final = 0.004\nsource_f = ramp(1e300)\n",
+         "solver failure at step 0", 3),
+        ("t_final = 0.004\nic = constant(1e300)\n",
+         "validation: initial bulk potential energy is infinite", 2)),
+        ids=("h-tiny", "log-eps-tiny", "log-rho-tiny", "ramp-huge",
+             "ic-huge"))
+    def test_overflowing_edge_config_prints_only_its_verdict(
+            self, tmp_path, capfd, body, verdict, code):
+        # overflow on the way to the verdict is judged by the NaN-safe
+        # checks, and must not reach stderr as a numpy RuntimeWarning
+        path = write_config(tmp_path,
+                            "mesh_rings = 2\nmesh_sectors = 8\n" + body)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["run", "--config", path,
+                             "--out", str(tmp_path / "out")]) == code
+        assert [str(w.message) for w in caught] == []
+        captured = capfd.readouterr()
+        assert captured.err == ""
+        assert verdict in captured.out
 
     def test_mesh_info_via_main(self, tmp_path):
         mesh = diskfem.gen_disk_mesh(2, 8)

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -168,7 +169,111 @@ class TestMoreauEnvelope:
             assert abs(fd - graphs.yosida(g, eps, r)) < 1e-3
 
 
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestScalarConvention:
+    """The graph maps are array code; a scalar follows numpy's 0-d rules."""
+
+    # at the last point, with eps_eff = 0.1 * 1.5, (r - J) ** 2 of a numpy
+    # scalar (libm pow) and of an array (a product) differ in the last bit
+    PTS = (-2.5, -1.0, -0.999, -0.3, 0.0, 1e-7, 0.7, 1.0, 1.5, 3.0,
+           -2.2699491416938162)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("fn", (graphs.resolvent, graphs.yosida,
+                                    graphs.yosida_prime,
+                                    graphs.moreau_envelope),
+                             ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("eps_eff", (0.1, 0.1 * 1.5), ids=("eps",
+                                                               "eps-rho"))
+    def test_scalars_lists_and_arrays_agree_bitwise(self, kind, fn,
+                                                    eps_eff):
+        g = make_graph(kind)
+        whole = fn(g, eps_eff, np.array(self.PTS))
+        assert bits(fn(g, eps_eff, list(self.PTS))) == bits(whole)
+        for k, r in enumerate(self.PTS):
+            value = fn(g, eps_eff, r)
+            assert isinstance(value, float)
+            assert isinstance(fn(g, eps_eff, np.asarray(r)), float)
+            assert bits(fn(g, eps_eff, np.asarray(r))) == bits(value)
+            assert bits(fn(g, eps_eff, [r])) == bits([value])
+            assert bits(fn(g, eps_eff, np.array([r]))) == bits([value])
+            if kind != "log":
+                # the log Newton loop runs until its worst point
+                # converges, so a longer array can take more iterations
+                assert bits(whole[k]) == bits(value)
+
+
+def scalar_minimal_section(graph, r):
+    """The scalar minimal section that the array form replaced."""
+    r = float(r)
+    if graph.kind == "obstacle":
+        if abs(r) > 1.0:
+            raise OutOfDomain("%.17g outside [-1, 1]" % r)
+        return 0.0
+    if graph.kind == "log" and abs(r) >= 1.0:
+        raise OutOfDomain("%.17g outside (-1, 1)" % r)
+    return float(graph.beta(r))
+
+
+def loop_minimal_sections(pair):
+    """The scalar loop that check_minimal_sections replaced, as its
+    oracle."""
+    lo = pair.boundary.lo if math.isfinite(pair.boundary.lo) else -3.0
+    hi = pair.boundary.hi if math.isfinite(pair.boundary.hi) else 3.0
+    if not pair.boundary.closed:
+        lo, hi = lo + graphs.SCAN_INSET, hi - graphs.SCAN_INSET
+    worst = -math.inf
+    for r in np.linspace(lo, hi, graphs.SCAN_SAMPLES):
+        m = abs(scalar_minimal_section(pair.bulk, r)) \
+            - pair.rho * abs(scalar_minimal_section(pair.boundary, r)) \
+            - pair.c0
+        worst = max(worst, m)
+    return worst
+
+
+MINIMAL_SECTION_PAIRS = tuple(
+    graphs.preset_pair(name, rho=rho, c0=c0)
+    for name in ALL_KINDS for rho in (0.5, 1.0, 2.0) for c0 in (0.0, 0.3)) \
+    + tuple(graphs.mixed_pair(bulk, boundary) for bulk, boundary in (
+        ("regular", "regular"), ("regular", "log"), ("regular", "obstacle"),
+        ("log", "log"), ("obstacle", "log"), ("obstacle", "obstacle")))
+
+
 class TestMinimalSection:
+    @pytest.mark.parametrize("pair", MINIMAL_SECTION_PAIRS, ids=lambda p: (
+        "%s-rho=%g-c0=%.3g" % (p.name, p.rho, p.c0)))
+    def test_check_equals_the_scalar_loop(self, pair):
+        got = graphs.check_minimal_sections(pair)
+        assert isinstance(got, float)
+        assert bits(got) == bits(loop_minimal_sections(pair))
+
+    def test_check_and_loop_refuse_log_bulk_on_obstacle_boundary(self):
+        # the obstacle scan reaches r = +-1, outside the log domain
+        pair = graphs.mixed_pair("log", "obstacle")
+        with pytest.raises(OutOfDomain):
+            graphs.check_minimal_sections(pair)
+        with pytest.raises(OutOfDomain):
+            loop_minimal_sections(pair)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_array_equals_scalar_calls(self, kind):
+        g = make_graph(kind)
+        pts = np.linspace(-0.999, 0.999, 41) * (3.0 if kind == "regular"
+                                                 else 1.0)
+        assert bits(graphs.minimal_section(g, pts)) == bits(
+            [scalar_minimal_section(g, r) for r in pts])
+
+    @pytest.mark.parametrize("kind, pts, first", (
+        ("obstacle", [0.5, 1.0, 1.5, -2.0], "1.5 outside the obstacle domain"),
+        ("log", [0.0, -1.0, 1.0], "-1 outside the log domain"),
+        ("log", [[0.2, 0.3], [1.25, -3.0]], "1.25 outside the log domain")))
+    def test_array_names_its_first_point_outside(self, kind, pts, first):
+        with pytest.raises(OutOfDomain, match=r"^%s$" % re.escape(first)):
+            graphs.minimal_section(make_graph(kind), pts)
+
     def test_values(self):
         assert graphs.minimal_section(make_graph("obstacle"), 1.0) == 0.0
         assert graphs.minimal_section(make_graph("obstacle"), -1.0) == 0.0
