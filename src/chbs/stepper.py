@@ -400,7 +400,9 @@ class _FourierFactor:
         place[center] = np.arange(2)
         A = A.tocsr()
 
-        rows = A[ring[:, 0]].tocoo()
+        # rows read with sorted columns: the center's entries below are
+        # summed in this order, so the factor depends on A's values alone
+        rows = A[ring[:, 0]].sorted_indices().tocoo()
         a, b, j = 2 + rows.row, place[rows.col], sector[rows.col]
         on_ring = b >= 2
         # ring to ring: one circulant stencil per coupled pair of rings
@@ -413,7 +415,7 @@ class _FourierFactor:
         ring_a, ring_b = np.divmod(pairs, G + 2)
         # the center couples to the rings through mode 0 only, which the
         # orthonormal FFT makes the ring sum over sqrt(S)
-        c_rows = A[center].tocoo()
+        c_rows = A[center].sorted_indices().tocoo()
         c_cols = place[c_rows.col]
         center_a = np.concatenate([a[~on_ring], c_rows.row])
         center_b = np.concatenate([b[~on_ring], c_cols])

@@ -746,6 +746,30 @@ class TestFourierFactor:
         factor = stepper._FourierFactor(A, rings, sectors)
         assert (factor.kl, factor.ku) == (3, 3)
 
+    @pytest.mark.parametrize("rings, sectors", ((4, 16), (40, 160)))
+    def test_factor_is_a_function_of_the_values(self, request, rings,
+                                                sectors):
+        # the same matrix with every row's entries in reversed order, not
+        # canonicalized: the center's mode-0 entries sum S couplings,
+        # which must not depend on the order the rows list them in
+        ops = ring_ops(request, rings, sectors)
+        data, params = tiny_problem(ops, "obstacle", eps=0.1)
+        work = stepper._StepWorkspace(ops, data.pair, params)
+        phi = np.random.default_rng(7).uniform(-1.3, 1.3, ops.mesh.n_bulk)
+        A = (work.R @ work.jacobian_matrix(phi, average=True)).tocsr() \
+            .sorted_indices()
+        ptr = A.indptr
+        row = np.repeat(np.arange(A.shape[0]), np.diff(ptr))
+        order = (ptr[:-1] + ptr[1:] - 1)[row] - np.arange(A.nnz)
+        reversed_rows = sp.csr_matrix(
+            (A.data[order], A.indices[order], ptr), shape=A.shape)
+        assert not reversed_rows.has_sorted_indices
+        factor = stepper._FourierFactor(A, rings, sectors)
+        other = stepper._FourierFactor(reversed_rows, rings, sectors)
+        for name in ("_lower", "_upper", "_inv_diag"):
+            assert getattr(factor, name).tobytes() \
+                == getattr(other, name).tobytes()
+
     def test_singular_matrix_raises_like_splu(self, tiny_ops):
         # no entry in the center's phi column: exactly singular
         data, params = tiny_problem(tiny_ops)
