@@ -583,7 +583,7 @@ def _selftest_fourier_solve():
         rng = np.random.default_rng(7)
         # nodes on both sides of +-1, where the graph derivatives jump
         phi = rng.uniform(-1.3, 1.3, ops.mesh.n_bulk)
-        A = (work.R @ work.jacobian_matrix(phi, average=True)).tocsc()
+        A = work.newton_matrix(phi, average=True).tocsc()
         v = rng.uniform(-1.0, 1.0, A.shape[0])
         x = stepper._FourierFactor(A, *work.rings).solve(v)
         want = splu(A).solve(v)

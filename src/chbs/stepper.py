@@ -356,7 +356,8 @@ class _FourierFactor:
     the mode-0 block (Swarztrauber & Sweet, SIAM J. Numer. Anal. 10,
     1973).  Rows other than the first of each ring are not read, so for a
     matrix that is not rotation invariant this solves its circulant
-    stencil, not A.
+    stencil, not A.  It reads rows sorted by column, so that the factor
+    depends on A's values alone.
 
     The factor orders the center's phi and mu first and then mode m's
     ring unknowns at 2 + m G, in the order of ``_ring_unknowns``: phi and
@@ -398,10 +399,6 @@ class _FourierFactor:
         place[ring] = 2 + np.arange(G)[:, None]
         sector[ring] = np.arange(S)
         place[center] = np.arange(2)
-        A = A.tocsr()
-
-        # rows read with sorted columns: the center's entries below are
-        # summed in this order, so the factor depends on A's values alone
         rows = A[ring[:, 0]].sorted_indices().tocoo()
         a, b, j = 2 + rows.row, place[rows.col], sector[rows.col]
         on_ring = b >= 2
@@ -495,11 +492,11 @@ def _band_lu(ab, kl, ku, G):
 class _StepOperator:
     """The parts of a step that do not depend on eps.
 
-    The step operator ``L`` and the row map ``R`` (see ``_StepWorkspace``),
-    the ring layout of ``L`` (``_ring_layout``) and the pinning columns
-    ``pins`` = (L e_mu, L e_w), e_mu and e_w being the all-ones vectors
-    on mu and on w, depend only on ``ops``, h, tau, sigma and the two
-    perturbation slopes.  :meth:`of` builds them once per such key and
+    The step operator ``L`` (see ``_StepWorkspace``), the boundary trace
+    ``P``, the ring layout of ``L`` (``_ring_layout``) and the pinning
+    columns ``pins`` = (L e_mu, L e_w), e_mu and e_w being the all-ones
+    vectors on mu and on w, depend only on ``ops``, h, tau, sigma and the
+    two perturbation slopes.  :meth:`of` builds them once per such key and
     keeps them in ``ops.step_operators``, read-only afterwards, so the
     members of an eps sweep share one; the factor state stays with each
     workspace.
@@ -511,8 +508,6 @@ class _StepOperator:
         self.P = P = sp.csr_matrix(
             (np.ones(ng), (np.arange(ng), mesh.boundary_loop)),
             shape=(ng, nb))
-        self.E = sp.eye(2 * nb + ng, nb, k=-nb, format="csr")
-        self.E_phi = sp.eye(2 * nb + ng, nb, format="csr")
         Mb, Kb = ops.bulk.M, ops.bulk.K
         Mg, Kg = ops.bdry.M, ops.bdry.K
         self.L = L = sp.bmat(
@@ -520,9 +515,6 @@ class _StepOperator:
              [(tau / h + sb) * Mb + Kb
               + P.T @ ((sigma / h + sg) * Mg + Kg) @ P, -Mb, -(P.T @ Mg)],
              [(Mg / h) @ P, None, Mg + Kg]], format="csr")
-        self.R = sp.bmat([[None, sp.eye(nb), None],
-                          [-h * sp.eye(nb), None, None],
-                          [None, None, -h * sp.eye(ng)]], format="csr")
         self.rings = _ring_layout(mesh, L)
         e_mu, e_w = np.zeros(L.shape[0]), np.zeros(L.shape[0])
         e_mu[nb:2 * nb] = 1.0
@@ -548,7 +540,7 @@ class _StepWorkspace:
     E puts the nodal graph term n(phi) on the mu rows.  So the Jacobian
     L + E n'(phi) E_phi^T moves only with the graph derivatives, which
     drift slowly along a trajectory, and one factor of it serves many
-    Newton updates, across iterations and time steps.  L, R, the ring
+    Newton updates, across iterations and time steps.  L, the ring
     layout and the pinning columns, which give the residual after the
     mean pin from the one before it (``shifted``), do not depend on eps
     and come from the ``_StepOperator`` shared on ``ops``; the factor
@@ -605,8 +597,9 @@ class _StepWorkspace:
     timings, so runs stay deterministic; correctness rests on the exact
     residual, not on the factor being current.
 
-    The exact LU is of R J, not of J: the row map R orders the block rows
-    as (mu, -h phi, -h w).  Inside the step guard R J is then symmetric
+    Every factor is of R J, not of J: the row map R orders the block rows
+    as (mu, -h phi, -h w), which ``newton_matrix`` and ``direction`` take
+    as slices of L and r.  Inside the step guard R J is then symmetric
     quasi-definite, with a positive definite (phi, phi) block and a
     negative definite (mu, w) block, except that the graph terms
     M diag(d) of its (phi, phi) block are not symmetric.  Such a matrix
@@ -616,9 +609,9 @@ class _StepWorkspace:
     default, the pivots undo the fill-reducing order and the factors hold
     about twice the entries.  Nothing guarantees stability outside the
     theory (zero viscosity, say), so the first direction of each
-    symmetric LU is checked: if it is non-finite or its backward error
-    exceeds ``BACKWARD_TOL``, the pivoted LU of R J replaces it until the
-    next refactorization.
+    symmetric LU is checked: if it is non-finite or its backward error in
+    max norms exceeds ``BACKWARD_TOL``, the pivoted LU of R J replaces it
+    until the next refactorization.
     """
 
     # On the active-set obstacle case 0.01-0.05 give about the same
@@ -627,8 +620,8 @@ class _StepWorkspace:
     # factor 0.15 and 0.3 give the same counts.
     THETA_MAX = 0.05
     THETA_MAX_FOURIER = 0.15
-    # relative backward error ||R J dx + R r|| / ||R r|| a symmetric LU's
-    # first direction must meet; the pivoted LU meets it by far
+    # relative backward error max|R J dx + R r| / max|R r| a symmetric
+    # LU's first direction must meet; the pivoted LU meets it by far
     BACKWARD_TOL = 1e-8
 
     def __init__(self, ops, pair, params):
@@ -638,8 +631,7 @@ class _StepWorkspace:
         self.loop = ops.mesh.boundary_loop
         self.nb = ops.mesh.n_bulk
         op = _StepOperator.of(ops, pair, params)
-        self.P, self.E, self.E_phi = op.P, op.E, op.E_phi
-        self.L, self.R, self.pins = op.L, op.R, op.pins
+        self.P, self.L, self.pins = op.P, op.L, op.pins
         # (rings, sectors) while the run uses Fourier factors, else None
         self.rings = op.rings
         self._lu = None
@@ -679,11 +671,13 @@ class _StepWorkspace:
         r += c_g * pin_w
         return r, _rms(r)
 
-    def jacobian_matrix(self, phi, average=False):
-        """J at ``phi``; with ``average`` its rotation average on the ring
-        mesh, where the graph derivatives are replaced by their mean over
-        each ring of the bulk and over the boundary loop."""
+    def newton_matrix(self, phi, average=False):
+        """R J at ``phi``: the rows of L as (mu, -h phi, -h w), and the
+        graph block M diag(d) + P^T M_Gamma diag(d_Gamma) P in the (phi, phi)
+        block; with ``average`` d is replaced by its mean over each ring of
+        the bulk and over the boundary loop, the rotation average."""
         pair, eps = self.pair, self.params.eps
+        nb, h, L = self.nb, self.params.h, self.L
         d_b = graphs.yosida_prime(pair.bulk, eps, phi)
         d_g = graphs.yosida_prime(pair.boundary, eps * pair.rho,
                                   phi[self.loop])
@@ -694,7 +688,9 @@ class _StepWorkspace:
             d_g = np.full(d_g.shape, d_g.mean())
         N = self.ops.bulk.M.multiply(d_b[None, :]) \
             + self.P.T @ self.ops.bdry.M.multiply(d_g[None, :]) @ self.P
-        return self.L + self.E @ N @ self.E_phi.T
+        N.resize(L.shape)
+        return sp.vstack([L[nb:2 * nb], -h * L[:nb], -h * L[2 * nb:]],
+                         format="csr") + N
 
     def direction(self, phi, r, report):
         """Newton direction for residual ``r``; returns ``(dx, final)``.
@@ -717,23 +713,24 @@ class _StepWorkspace:
             if self.rings is not None:
                 try:
                     self._lu = _FourierFactor(
-                        self.R @ self.jacobian_matrix(phi, average=True),
-                        *self.rings)
+                        self.newton_matrix(phi, average=True), *self.rings)
                 except RuntimeError:
                     # the unpivoted LU met a zero or non-finite pivot:
                     # leave the Fourier path for the exact LU
                     self.rings = None
             if self._lu is None:
-                A = (self.R @ self.jacobian_matrix(phi)).tocsc()
+                A = self.newton_matrix(phi).tocsc()
                 self._lu = splu(A, permc_spec="MMD_AT_PLUS_A",
                                 diag_pivot_thresh=0.0,
                                 options=dict(SymmetricMode=True))
                 dx = self._lu.solve(rhs)
                 report.linsolves += 1
-                # NaN-safe: a non-finite dx fails the comparison
+                # in max norms, which do not overflow, against a finite
+                # bound; NaN-safe: a non-finite dx fails the comparison
                 with np.errstate(over="ignore", invalid="ignore"):
-                    if (np.linalg.norm(A @ dx - rhs)
-                            <= self.BACKWARD_TOL * np.linalg.norm(rhs)):
+                    if (np.abs(A @ dx - rhs).max()
+                            <= self.BACKWARD_TOL * np.abs(rhs).max()
+                            < math.inf):
                         return dx, True
                 self._lu = None  # free the rejected factors first
                 self._lu = splu(A)

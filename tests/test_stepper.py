@@ -43,6 +43,15 @@ def pinned_obstacle_problem(ops, eps=0.05, t_final=2e-3, seed=2):
     return stepper.problem_data(ops, phi0, pair, f=f, g=g), params
 
 
+def row_map(ops, h):
+    """R, the row map of the Newton matrix R J: the block rows of J in
+    the order (mu, -h phi, -h w)."""
+    nb, ng = ops.mesh.n_bulk, ops.mesh.n_bdry
+    return sp.bmat([[None, sp.eye(nb), None],
+                    [-h * sp.eye(nb), None, None],
+                    [None, None, -h * sp.eye(ng)]], format="csr")
+
+
 def recording_factors(monkeypatch):
     """Patch the stepper to note every factorization of a Newton matrix:
     "fourier" when a ``_FourierFactor`` is built, "exact" when ``splu``
@@ -339,9 +348,45 @@ class TestSolveStep:
                                     h=2.0 ** -10, t_final=2.0 ** -10)
         assert np.abs(data.phi0).max() < 1.0
         work = stepper._StepWorkspace(tiny_ops, data.pair, params)
-        A = work.R @ work.jacobian_matrix(data.phi0)
+        A = work.newton_matrix(data.phi0)
         assert A.nnz > 0
         assert abs(A - A.T).max() == 0.0
+
+    @pytest.mark.parametrize("average", (False, True),
+                             ids=("exact", "average"))
+    @pytest.mark.parametrize("kind", ("regular", "log", "obstacle"))
+    @pytest.mark.parametrize("mesh", ("tiny", "small"))
+    def test_newton_matrix_is_the_row_mapped_jacobian(self, request, mesh,
+                                                      kind, average):
+        # R (L + E N E_phi^T), bit for bit, from the row map R, the
+        # embedding E of the mu rows and E_phi of the phi columns, and the
+        # graph block N = M diag(d) + P^T M_Gamma diag(d_Gamma) P
+        ops = request.getfixturevalue(mesh + "_ops")
+        data, params = tiny_problem(ops, kind, eps=0.1)
+        work = stepper._StepWorkspace(ops, data.pair, params)
+        nb, ng, loop = ops.mesh.n_bulk, ops.mesh.n_bdry, ops.mesh.boundary_loop
+        phi = np.random.default_rng(7).uniform(-1.3, 1.3, nb)
+        d_b = graphs.yosida_prime(data.pair.bulk, params.eps, phi)
+        d_g = graphs.yosida_prime(data.pair.boundary,
+                                  params.eps * data.pair.rho, phi[loop])
+        if average:
+            rings, sectors = work.rings
+            d_b[1:] = np.repeat(
+                d_b[1:].reshape(rings, sectors).mean(axis=1), sectors)
+            d_g[:] = d_g.mean()
+        assert np.ptp(d_b) > 0.0
+        P = sp.csr_matrix((np.ones(ng), (np.arange(ng), loop)),
+                          shape=(ng, nb))
+        N = ops.bulk.M @ sp.diags(d_b) \
+            + P.T @ ops.bdry.M @ sp.diags(d_g) @ P
+        E = sp.eye(2 * nb + ng, nb, k=-nb, format="csr")
+        E_phi = sp.eye(2 * nb + ng, nb, format="csr")
+        want = (row_map(ops, params.h) @ (work.L + E @ N @ E_phi.T)) \
+            .tocsr().sorted_indices()
+        got = work.newton_matrix(phi, average=average).sorted_indices()
+        for name in ("indptr", "indices", "data"):
+            assert getattr(got, name).tobytes() \
+                == getattr(want, name).tobytes()
 
     def test_augmented_means_conserved(self, tiny_ops):
         # the means are pinned to rounding level, not to the Newton
@@ -376,13 +421,13 @@ class TestSolveStep:
         data, params = tiny_problem(tiny_ops, kind)
         work = stepper._StepWorkspace(tiny_ops, data.pair, params)
         nb = tiny_ops.mesh.n_bulk
-        A = work.jacobian_matrix(data.phi0)[nb:2 * nb, :nb].toarray()
+        A = work.newton_matrix(data.phi0)[:nb, :nb].toarray()
         eigs = np.linalg.eigvalsh(0.5 * (A + A.T))
         assert eigs.min() > 0.0
 
     @pytest.mark.parametrize("kind", ("regular", "log", "obstacle"))
     def test_jacobian_matches_residual(self, tiny_ops, kind):
-        # directional difference quotient of the residual against J v; the
+        # directional difference quotient of R r against R J v; the
         # obstacle state has nodes on both sides of +-1 but none near the
         # kinks, where the residual is not differentiable
         data, params = tiny_problem(tiny_ops, kind)
@@ -397,13 +442,14 @@ class TestSolveStep:
         b = work.load(state, gen.uniform(-1, 1, nb), gen.uniform(-1, 1, ng))
         x = np.concatenate([phi, gen.uniform(-1, 1, nb + ng)])
         v = gen.uniform(-1, 1, x.size)
-        J = work.jacobian_matrix(phi)
-        assert np.abs((J - work.L) @ v).max() > 0.0
+        R = row_map(tiny_ops, params.h)
+        RJ = work.newton_matrix(phi)
+        assert np.abs((RJ - R @ work.L) @ v).max() > 0.0
         delta = 1e-7
         quotient = (work.residual(x + delta * v, b)[0]
                     - work.residual(x, b)[0]) / delta
-        assert (np.linalg.norm(quotient - J @ v)
-                <= 1e-6 * np.linalg.norm(J @ v))
+        assert (np.linalg.norm(R @ quotient - RJ @ v)
+                <= 1e-6 * np.linalg.norm(RJ @ v))
 
     # +-3 lies outside the domains of the log and obstacle graphs
     @pytest.mark.parametrize("start", ("solution", 3.0, -3.0))
@@ -512,13 +558,14 @@ class TestSolveStep:
             def solve(self, v):
                 return v
 
+        R = row_map(tiny_ops, params.h)
         gen = np.random.default_rng(11)
         for _ in range(5):
             r = gen.standard_normal(work.L.shape[0]) \
                 * 10.0 ** gen.integers(-12, 4, work.L.shape[0])
             work._lu = Echo()
             rhs, _ = work.direction(data.phi0, r, stepper.StepReport())
-            assert rhs.tobytes() == (-(work.R @ r)).tobytes()
+            assert rhs.tobytes() == (-(R @ r)).tobytes()
 
     def test_zero_pivot_leaves_the_fourier_path(self, tiny_ops,
                                                 monkeypatch):
@@ -536,7 +583,7 @@ class TestSolveStep:
         assert report.exact_lu and work.rings is None
         assert report.refactors == 1
         work.stale()
-        monkeypatch.setattr(stepper._StepWorkspace, "jacobian_matrix",
+        monkeypatch.setattr(stepper._StepWorkspace, "newton_matrix",
                             lambda self, phi, average=False: 0 * self.L)
         with pytest.raises(RuntimeError, match="singular"):
             stepper.solve_step(new, data, params, tiny_ops, work=work)
@@ -654,6 +701,35 @@ class TestRun:
         assert len(solves) == sum(r.linsolves for r in reports) - 1
         assert len(solves) > 1
 
+    # a residual of size 1e200 overflowed the 2-norms of the backward
+    # error, whose test then read inf <= inf and kept a zero direction
+    @pytest.mark.parametrize("size", (1.0, 1e150, 1e200, 1e300))
+    def test_backward_error_of_a_huge_residual_is_measured(
+            self, tiny_renumbered_ops, monkeypatch, size):
+        real = stepper.splu
+
+        class ZeroSolve:
+            def solve(self, b):
+                return np.zeros_like(b)
+
+        def zero_symmetric_splu(A, **kwargs):
+            if kwargs.get("options", {}).get("SymmetricMode"):
+                return ZeroSolve()
+            return real(A, **kwargs)
+
+        monkeypatch.setattr(stepper, "splu", zero_symmetric_splu)
+        ops = tiny_renumbered_ops
+        data, params = tiny_problem(ops, "obstacle", amp=0.3)
+        work = stepper._StepWorkspace(ops, data.pair, params)
+        assert work.rings is None
+        r = size * np.random.default_rng(3).uniform(-1.0, 1.0,
+                                                    work.L.shape[0])
+        report = stepper.StepReport()
+        dx, final = work.direction(data.phi0, r, report)
+        assert final
+        assert (report.refactors, report.fallbacks) == (2, 1)
+        assert np.abs(dx).max() > 0.0
+
     def test_obstacle_interior_run_factorizes_once(self, tiny_ops):
         # strictly inside (-1, 1) the obstacle's Yosida derivative is 0,
         # so the Jacobian is constant and its first LU contracts forever
@@ -725,7 +801,7 @@ class TestFourierFactor:
         gen = np.random.default_rng(7)
         # nodes on both sides of +-1, where the derivatives jump
         phi = gen.uniform(-1.3, 1.3, ops.mesh.n_bulk)
-        A = (work.R @ work.jacobian_matrix(phi, average=True)).tocsc()
+        A = work.newton_matrix(phi, average=True).tocsc()
         v = gen.uniform(-1.0, 1.0, A.shape[0])
         factor = stepper._FourierFactor(A, rings, sectors)
         assert np.abs(factor._lower[1:]).max() <= 100.0
@@ -742,7 +818,7 @@ class TestFourierFactor:
         data, params = tiny_problem(ops, "obstacle", eps=0.1)
         work = stepper._StepWorkspace(ops, data.pair, params)
         phi = np.random.default_rng(7).uniform(-1.3, 1.3, ops.mesh.n_bulk)
-        A = work.R @ work.jacobian_matrix(phi, average=True)
+        A = work.newton_matrix(phi, average=True)
         factor = stepper._FourierFactor(A, rings, sectors)
         assert (factor.kl, factor.ku) == (3, 3)
 
@@ -756,8 +832,7 @@ class TestFourierFactor:
         data, params = tiny_problem(ops, "obstacle", eps=0.1)
         work = stepper._StepWorkspace(ops, data.pair, params)
         phi = np.random.default_rng(7).uniform(-1.3, 1.3, ops.mesh.n_bulk)
-        A = (work.R @ work.jacobian_matrix(phi, average=True)).tocsr() \
-            .sorted_indices()
+        A = work.newton_matrix(phi, average=True).sorted_indices()
         ptr = A.indptr
         row = np.repeat(np.arange(A.shape[0]), np.diff(ptr))
         order = (ptr[:-1] + ptr[1:] - 1)[row] - np.arange(A.nnz)
@@ -776,7 +851,7 @@ class TestFourierFactor:
         work = stepper._StepWorkspace(tiny_ops, data.pair, params)
         keep = np.ones(work.L.shape[0])
         keep[0] = 0.0
-        A = (work.R @ work.L @ sp.diags(keep)).tocsc()
+        A = (work.newton_matrix(data.phi0) @ sp.diags(keep)).tocsc()
         with pytest.raises(RuntimeError):
             splu(A)
         with pytest.raises(RuntimeError, match="exactly singular"):
@@ -789,10 +864,10 @@ class TestFourierFactor:
         phi = cli.build_initial(cfg, small_ops.mesh)
         data, params = tiny_problem(small_ops, kind, eps=0.1)
         work = stepper._StepWorkspace(small_ops, data.pair, params)
-        J = work.jacobian_matrix(phi)
-        graph_terms = abs(J - work.L).max()
+        RJ = work.newton_matrix(phi)
+        graph_terms = abs(RJ - row_map(small_ops, params.h) @ work.L).max()
         assert graph_terms > 0.0
-        gap = abs(work.jacobian_matrix(phi, average=True) - J).max()
+        gap = abs(work.newton_matrix(phi, average=True) - RJ).max()
         assert gap <= 1e-12 * graph_terms
 
     def test_active_obstacle_keeps_its_fourier_factor(self, desk_ops,
